@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from .exact import ONE, Rational, bernoulli, double_factorial, factorial, rational
 from .report import compare_series, passed, start_clock
-from .series import ASCENDING, DESCENDING, GradedSeries, coth
-
-_PAD = 8
+from .series import ASCENDING, DESCENDING, GradedSeries, cosh, coth, csch
 
 _lock = threading.Lock()
 _b_table: list = []
@@ -81,6 +79,7 @@ def coeffs_c(order: int) -> BranchCoeffs:
 
 def oracle_b(order: int) -> BranchCoeffs:
     """b by reversion of z = sqrt(2s - 2 log(1+s)), independent of the recurrence."""
+    # the square root of a radicand led by s^2 ends one order short of s
     s = GradedSeries.identity(ASCENDING, prec=order + 2)
     chi = (2 * s - 2 * (s + 1).log()).sqrt()
     v_minus_1 = chi.revert()
@@ -89,6 +88,7 @@ def oracle_b(order: int) -> BranchCoeffs:
 
 def oracle_c(order: int) -> BranchCoeffs:
     """c by matching sqrt(2 - 2(1+mu)e^-mu) against sqrt(2 - 2(1-x)e^x)."""
+    # both square roots have radicands led by x^2 and end one order short of x
     x = GradedSeries.identity(ASCENDING, prec=order + 2)
     psi = (1 + x) * (-x).exp()  # (1+mu) e^-mu in the mu variable
     a = (2 * (1 - psi)).sqrt()
@@ -147,6 +147,11 @@ def stirling_coeffs(count: int) -> list:
 # --- verifiers ---------------------------------------------------------------
 
 
+def _gaussian(order: int) -> GradedSeries:
+    """e^{-z^2/2} through z^order; below order 2 the exponent is all tail."""
+    return GradedSeries.monomial(2, Rational(-1, 2), ASCENDING).truncate(order + 1).exp()
+
+
 def verify_b_family(order: int = 40, values=None) -> "VerificationReport":
     """Recurrence vs reversion oracle, the defining ODE, and the closed form."""
     t0 = start_clock()
@@ -169,7 +174,7 @@ def verify_b_family(order: int = 40, values=None) -> "VerificationReport":
 
     # v e^{1-v} = e^{-z^2/2}, both sides divided by e
     lhs = v * (-(v - 1)).exp()
-    rhs = GradedSeries.monomial(2, Rational(-1, 2), ASCENDING, prec=order + 1).exp()
+    rhs = _gaussian(order)
     return compare_series("v-ode", order, lhs, rhs, range(0, order + 1), t0)
 
 
@@ -195,28 +200,25 @@ def verify_c_family(order: int = 40, values=None) -> "VerificationReport":
 def verify_K_functional(order: int = 40, K=None) -> "VerificationReport":
     """e^{-z^2/2} = K e^{1 - K coth K} csch K, both sides divided by e."""
     t0 = start_clock()
-    work = order + _PAD
-    KK = K if K is not None else series_K(work)
-    sinh_K = (KK.exp() - (-KK).exp()) / 2
-    cosh_K = (KK.exp() + (-KK).exp()) / 2
-    csch_K = sinh_K.reciprocal()
-    k_coth_k = KK * cosh_K * csch_K
+    # csch K = 1/sinh K loses two orders of K's window, and multiplying by K
+    # wins one back, so K is needed through x^(order+1)
+    KK = K if K is not None else series_K(order + 1)
+    csch_K = csch(KK)
+    k_coth_k = KK * cosh(KK) * csch_K
     rhs = KK * (1 - k_coth_k).exp() * csch_K
-    lhs = GradedSeries.monomial(2, Rational(-1, 2), ASCENDING, prec=work + 1).exp()
+    lhs = _gaussian(order)
     return compare_series("k-functional", order, lhs, rhs, range(0, order + 1), t0)
 
 
 def verify_K_integral(order: int = 40, K=None) -> "VerificationReport":
     """K^2 coth K - K = sum b_{2i+1}/(2i+3) z^{2i+3}."""
     t0 = start_clock()
-    work = order + _PAD
-    KK = K if K is not None else series_K(work)
+    # K^2 coth K keeps the window of K
+    KK = K if K is not None else series_K(order)
     lhs = KK * KK * coth(KK) - KK
-    bs = coeffs_b(work)
+    bs = coeffs_b(order)
     rhs = GradedSeries(
-        ASCENDING,
-        {2 * i + 3: bs[2 * i + 1] / (2 * i + 3) for i in range(0, (work - 3) // 2 + 1)},
-        prec=work + 1,
+        ASCENDING, {e: bs[e - 2] / e for e in range(3, order + 1, 2)}, prec=order + 1
     )
     return compare_series("k-integral", order, lhs, rhs, range(0, order + 1), t0)
 

@@ -2,7 +2,8 @@
 
 Output contract: machine-readable results on stdout (one JSON document for
 coeffs, JSON lines for verify), human-oriented notes on stderr.  Exit 0 when
-everything passed or was skipped, 1 on any FAIL, 2 on usage errors.
+everything passed or was skipped, 1 on any FAIL, 2 on usage errors, 3 on an
+internal error: a series operation refused to answer for accepted input.
 """
 
 import argparse
@@ -43,7 +44,7 @@ from .flows import (
     verify_nz_identity,
     verify_prop_hy,
 )
-from .series import ASCENDING
+from .series import ASCENDING, SeriesError
 from .virasoro import (
     check_grading,
     check_heisenberg_commutator,
@@ -110,7 +111,8 @@ def family_rows(family: str, order: int) -> list:
     if family == "ahat":
         return list(enumerate(flow_solve(series_f_plus(order), count=order).values, start=1))
     if family == "l":
-        fc = flow_solve(series_theta(2 * order + 2), count=order, law=LAW_EVEN, sign=-1)
+        # l_order sits at z^(1 - 2*order), the last exponent theta(2*order) knows
+        fc = flow_solve(series_theta(2 * order), count=order, law=LAW_EVEN, sign=-1)
         return list(enumerate(fc.values, start=1))
     if family == "w0":
         w0 = series_w0(order)
@@ -119,7 +121,7 @@ def family_rows(family: str, order: int) -> list:
         return [(n, bernoulli(n)) for n in range(order + 1)]
     if family == "stirling":
         return list(enumerate(stirling_coeffs(order + 1)))
-    series = SERIES_FAMILIES[family](order + 4)
+    series = SERIES_FAMILIES[family](order)
     step = 1 if series.direction == ASCENDING else -1
     exponents = [series.lead + step * i for i in range(order + 1)]
     return [(e, series.coefficient(e)) for e in exponents]
@@ -267,6 +269,9 @@ def run_verify(args, parser) -> int:
     for name in names:
         try:
             reports = run_identity(name, args)
+        except SeriesError as exc:
+            print(f"internal error: {name}: {exc}", file=sys.stderr)
+            return 3
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 2

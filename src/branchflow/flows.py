@@ -30,8 +30,6 @@ from .series import (
 LAW_STANDARD = "standard"  # p(k) = 1 - k
 LAW_EVEN = "even"  # p(m) = 1 - 2m
 
-_MARGIN = 10
-
 # RLock: builders are allowed to call other cached constructors
 _cache_lock = threading.RLock()
 _series_cache: dict = {}
@@ -151,6 +149,12 @@ def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> Fl
 
 
 def _windowed(series: GradedSeries, order: int) -> GradedSeries:
+    """``series`` at order ``order``: its ``order + 1`` coefficients from the lead.
+
+    Every named series keeps this contract.  Each builder asks its inputs for
+    exactly the window its result needs and pads nothing, so a cold build
+    already ends at this window; a cached deeper build is truncated to it.
+    """
     step = 1 if series.direction == ASCENDING else -1
     prec = series.lead + step * (order + 1)
     if series.prec is not None and series.prec == prec:
@@ -172,8 +176,10 @@ def series_f(order: int) -> GradedSeries:
     """f = (-2 log(1-w) - 2w)^(-1/2) with w = 1/(1+z); starts z + 2/3 - z^{-1}/12."""
 
     def build(n):
-        m = n + _MARGIN
-        one_plus_z = GradedSeries(DESCENDING, {1: ONE, 0: ONE}, prec=-m - 4)
+        # w = 1/(1+z) is known two orders below 1+z; the w term cancels in
+        # g = -2log(1-w) - 2w, so g keeps n + 1 orders past its lead z^-2,
+        # which is what g^(-1/2) needs
+        one_plus_z = GradedSeries(DESCENDING, {1: ONE, 0: ONE}, prec=-n - 1)
         w = one_plus_z.reciprocal()
         g = -2 * (1 - w).log() - 2 * w
         return g.pow(Rational(-1, 2))
@@ -185,21 +191,21 @@ def series_theta(order: int) -> GradedSeries:
     """theta = (3 sum b_{2k+1}/(2k+3) z^{-2k-3})^(-1/3); starts z - z^{-1}/180."""
 
     def build(n):
-        m = n + _MARGIN
-        bs = coeffs_b(m + 3)
+        # the -1/3 power keeps n + 1 orders past the inner lead z^-3; every
+        # odd exponent -e of that window is filled, e = 2k + 3
+        bs = coeffs_b(n + 1)
         inner = GradedSeries(
-            DESCENDING,
-            {-(2 * k + 3): 3 * bs[2 * k + 1] / (2 * k + 3) for k in range(0, (m + 1) // 2)},
-            prec=-m - 4,
+            DESCENDING, {-e: 3 * bs[e - 2] / e for e in range(3, n + 4, 2)}, prec=-n - 4
         )
         return inner.pow(Rational(-1, 3))
 
     return _cached_series("theta", order, build)
 
 
-def _phi(prec: int) -> GradedSeries:
+def _phi(order: int) -> GradedSeries:
     # e^t sinh(t)/t - 1 = (e^{2t} - 1)/(2t) - 1 = t + (2/3)t^2 + (1/3)t^3 + ...
-    t = GradedSeries.identity(ASCENDING, prec=prec)
+    # at order n is known below t^(n+2); dividing by t costs one order
+    t = GradedSeries.identity(ASCENDING, prec=order + 3)
     return ((2 * t).exp() - 1).shift(-1) / 2 - 1
 
 
@@ -207,8 +213,9 @@ def series_h(order: int) -> GradedSeries:
     """h = (3z^{-2} coth(z^{-1}) - 3z^{-1})^(-1/3); starts z + z^{-1}/45."""
 
     def build(n):
-        m = n + _MARGIN
-        t = GradedSeries.identity(ASCENDING, prec=m + 4)
+        # u = 3t^2 coth t - 3t leads at t^3 and keeps the window of t, so
+        # u^(-1/3) keeps n + 1 orders from its lead t^-1
+        t = GradedSeries.identity(ASCENDING, prec=n + 4)
         u = 3 * t * t * coth(t) - 3 * t
         return u.pow(Rational(-1, 3)).invert_variable()
 
@@ -217,15 +224,12 @@ def series_h(order: int) -> GradedSeries:
 
 def series_y(order: int) -> GradedSeries:
     """y with 1/y = psi(1/z), psi the inverse of e^t sinh(t)/t - 1."""
-    return _y_inverse(order + 1).reciprocal()
+    return _y_inverse(order).reciprocal()
 
 
 def _y_inverse(order: int) -> GradedSeries:
     def build(n):
-        m = n + _MARGIN
-        psi = _phi(m + 4).revert()
-        z_inv = GradedSeries.monomial(-1, ONE, DESCENDING, prec=-m - 4)
-        return psi.compose(z_inv)
+        return _phi(n).revert().invert_variable()
 
     return _cached_series("y-inverse", order, build)
 
@@ -234,16 +238,14 @@ def series_f_plus_1(order: int) -> GradedSeries:
     """1/(z e^{1/z} sinh(1/z) - 1); starts z - 2/3 + z^{-1}/9."""
 
     def build(n):
-        m = n + _MARGIN
-        z_inv = GradedSeries.monomial(-1, ONE, DESCENDING, prec=-m - 4)
-        return _phi(m + 4).compose(z_inv).reciprocal()
+        return _phi(n).invert_variable().reciprocal()
 
     return _cached_series("f-plus-1", order, build)
 
 
 def series_f_plus_2(order: int) -> GradedSeries:
     def build(n):
-        return series_h(n + 2).revert()
+        return series_h(n).revert()
 
     return _cached_series("f-plus-2", order, build)
 
@@ -252,35 +254,28 @@ def series_f_plus(order: int) -> GradedSeries:
     """f_+ = f_+1 composed with f_+2; starts z - 2/3 + (4/45)z^{-1}."""
 
     def build(n):
-        return series_f_plus_1(n + 2).compose(series_f_plus_2(n + 2))
+        return series_f_plus_1(n).compose(series_f_plus_2(n))
 
     return _cached_series("f-plus", order, build)
 
 
-def series_h_y_fplus(order: int):
-    return (
-        series_h(order),
-        series_y(order),
-        series_f_plus_1(order),
-        series_f_plus_2(order),
-        series_f_plus(order),
-    )
-
-
 def series_F(order: int) -> GradedSeries:
-    """F = x + (1/2) sum_{n>=2} c_n x^n, ascending."""
-    cs = coeffs_c(order)
+    """F = x + (1/2) sum_{n>=2} c_n x^n, ascending, through x^(order+1).
+
+    Like every named series, order n holds n + 1 coefficients from the lead.
+    """
+    cs = coeffs_c(order + 1)
     coeffs = {1: ONE}
-    coeffs.update({n: cs[n] / 2 for n in range(2, order + 1)})
-    return GradedSeries(ASCENDING, coeffs, prec=order + 1)
+    coeffs.update({n: cs[n] / 2 for n in range(2, order + 2)})
+    return GradedSeries(ASCENDING, coeffs, prec=order + 2)
 
 
 def series_H(order: int) -> GradedSeries:
     """H = (3F^2 coth F - 3F)^(-1/3), ascending Laurent with lead x^{-1}."""
 
     def build(n):
-        m = n + _MARGIN
-        F = series_F(m + 4)
+        # as for h: u leads at x^3 and keeps the window of F, x^(n+4)
+        F = series_F(n + 2)
         u = 3 * F * F * coth(F) - 3 * F
         return u.pow(Rational(-1, 3))
 
@@ -289,15 +284,13 @@ def series_H(order: int) -> GradedSeries:
 
 def series_E(order: int, H=None) -> GradedSeries:
     """E = 1 + sqrt(x^2 + 4/(3H^3)), ascending from 1; equals 1 + mu."""
-    m = order + _MARGIN
-    HH = H if H is not None else series_H(m)
-    x_sq = GradedSeries.monomial(2, ONE, ASCENDING, prec=m)
+    # the square root keeps the radicand's depth past its lead x^2, so the
+    # radicand is needed below x^(order+2); H^-3 is known four orders past
+    # H's window edge, and H exists from order 0 on
+    HH = H if H is not None else series_H(max(order - 2, 0))
+    x_sq = GradedSeries.monomial(2, ONE, ASCENDING, prec=order + 2)
     mu = (x_sq + Rational(4, 3) * HH ** -3).pow(Rational(1, 2))
     return 1 + mu
-
-
-def series_F_H_E(order: int):
-    return series_F(order), series_H(order), _windowed(series_E(order), order)
 
 
 def series_mu(order: int) -> GradedSeries:
@@ -314,20 +307,22 @@ def series_mu(order: int) -> GradedSeries:
 def verify_prop_hy(order: int = 40, h=None) -> "VerificationReport":
     """h(y(z)) = theta(f(z))."""
     t0 = start_clock()
-    m = order + 4
-    hh = h if h is not None else series_h(m)
-    lhs = hh.compose(series_y(m))
-    rhs = series_theta(m).compose(series_f(m))
+    # a descending composition keeps the window its outer and inner share
+    hh = h if h is not None else series_h(order)
+    lhs = hh.compose(series_y(order))
+    rhs = series_theta(order).compose(series_f(order))
     return compare_series("prop-hy", order, lhs, rhs, range(1, -order, -1), t0)
 
 
 def verify_lemma_yk(order: int = 40, K=None) -> "VerificationReport":
     """1/y = K(1/f), with 1/f the multiplicative reciprocal."""
     t0 = start_clock()
-    m = order + 4
-    KK = K if K is not None else series_K(m + 2)
-    lhs = _y_inverse(m)
-    rhs = KK.compose(series_f(m).reciprocal())
+    # the order coefficients of 1/y from z^-1 are 1/y at order - 1; 1/f keeps
+    # the order of f, and K known below x^(order+1) makes K(1/f) known above
+    # z^-(order+1)
+    KK = K if K is not None else series_K(order)
+    lhs = _y_inverse(order - 1)
+    rhs = KK.compose(series_f(order - 1).reciprocal())
     return compare_series("lemma-yk", order, lhs, rhs, range(-1, -order - 1, -1), t0)
 
 
@@ -357,10 +352,11 @@ def verify_fplus_functional(order: int = 40, H=None) -> "VerificationReport":
     is matched against the mu coefficient family itself.
     """
     t0 = start_clock()
-    m = order + 6
-    fplus = series_f_plus(m)
+    # both sides are known two orders past f_+'s window edge, and z^-order
+    # must be known: f_+ at order - 1, but at least 1 so 1 + f_+ has its z^0
+    fplus = series_f_plus(max(order - 1, 1))
     x_t = (1 + fplus).reciprocal()
-    z_cubed = GradedSeries.monomial(-3, Rational(4, 3), DESCENDING, prec=fplus.prec)
+    z_cubed = GradedSeries.monomial(-3, Rational(4, 3), DESCENDING)
     mu_t = (x_t * x_t + z_cubed).pow(Rational(1, 2))
     lhs = (1 - x_t) * x_t.exp()
     rhs = (1 + mu_t) * (-mu_t).exp()
@@ -395,16 +391,11 @@ def verify_flow_laws(order: int = 40, seed: int = 0, a=None) -> "VerificationRep
     if rep.status != "PASS":
         return rep
 
-    # automorphism law: exp(D) g = g(exp(D) z) for any series g
+    # automorphism law: exp(D) g = g(exp(D) z) for any series g; no image is
+    # known at z^-order, and the K sample starts at z^-1
     depth = order - 2
     flowed_z = flow_apply(a_fam, z)
-    samples = [
-        series_theta(order),
-        f,
-        series_K(order + 2).compose(
-            GradedSeries.monomial(-1, ONE, DESCENDING, prec=-order - 2)
-        ),
-    ]
+    samples = [series_theta(order), f, series_K(order).invert_variable()]
     for g in samples:
         lhs = flow_apply(a_fam, g)
         rhs = g.compose(flowed_z)
@@ -466,7 +457,8 @@ def verify_nz_identity(order: int = 41, bernoulli_fn=None) -> "VerificationRepor
         },
         prec=-order - 1,
     )
-    t = GradedSeries.identity(ASCENDING, prec=order + 2)
+    # t^2 coth t keeps the window of t, and z^-order must be known
+    t = GradedSeries.identity(ASCENDING, prec=order + 1)
     rhs = (t * t * coth(t) - t - t ** 3 / 3).invert_variable()
     return compare_series(
         "nz-bernoulli", order, lhs, rhs, range(-1, -order - 1, -1), t0

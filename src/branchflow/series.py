@@ -633,13 +633,3 @@ def coth(g):
 def csch(g):
     return sinh(g).reciprocal()
 
-
-_HYPERBOLIC = {"sinh": sinh, "cosh": cosh, "coth": coth, "csch": csch}
-
-
-def hyperbolic(g, kind):
-    try:
-        fn = _HYPERBOLIC[kind]
-    except KeyError:
-        raise SeriesError(f"unknown hyperbolic kind {kind!r}") from None
-    return fn(g)

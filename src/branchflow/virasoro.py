@@ -340,8 +340,9 @@ def factorization_sides(weight_bound: int, l_values=None, b_values=None):
     m_max = weight_bound // 2
     k_max = max((weight_bound - 3) // 2, 0)
     if l_values is None:
+        # l_m sits at z^(1 - 2m), which theta(2m) still knows
         l_values = flow_solve(
-            series_theta(2 * m_max + 2), count=m_max, law=LAW_EVEN, sign=-1
+            series_theta(2 * m_max), count=m_max, law=LAW_EVEN, sign=-1
         ).values
     if b_values is None:
         b_values = coeffs_b(2 * k_max + 1).values if k_max else ()
@@ -365,7 +366,7 @@ def factorization_sides(weight_bound: int, l_values=None, b_values=None):
         return exp_op_apply(lhs_ops, p)
 
     def rhs(p):
-        return exp_op_apply(l_ops, exp_op_apply(shift_ops, p)) if shift_ops else p
+        return exp_op_apply(l_ops, exp_op_apply(shift_ops, p))
 
     return lhs, rhs
 

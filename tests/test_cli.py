@@ -138,6 +138,34 @@ def test_verify_report_shape(capsys):
     assert "1 PASS, 0 FAIL, 0 SKIPPED" in err
 
 
+SERIES_IDENTITIES = (
+    "v-ode", "karamata", "k-functional", "k-integral", "w0-reversion", "lemma-yk",
+    "prop-hy", "fplus-functional", "iden", "flow-laws", "nz-bernoulli",
+)
+
+
+@pytest.mark.parametrize("identity", SERIES_IDENTITIES)
+def test_series_identities_pass_at_low_orders(identity, capsys):
+    for order in range(1, 9):
+        rc, out, err = run(["verify", identity, "--order", str(order)], capsys)
+        assert rc == 0, (order, err)
+        assert [r["status"] for r in json_lines(out)] == ["PASS"], order
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from branchflow import cli
+    from branchflow.series import TruncationError
+
+    def broken(order):
+        raise TruncationError("window too shallow")
+
+    monkeypatch.setattr(cli, "verify_prop_hy", broken)
+    rc, out, err = run(["verify", "prop-hy", "--order", "4"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: prop-hy: window too shallow\n"
+
+
 def test_verify_negative_range_token(capsys):
     # the separate-token form must survive argparse's option-name heuristics
     rc, out, _ = run(

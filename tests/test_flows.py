@@ -2,6 +2,7 @@
 
 import pytest
 
+from branchflow import flows
 from branchflow.branches import coeffs_b, coeffs_c, series_K
 from branchflow.exact import ONE, ZERO, bernoulli, rational
 from branchflow.flows import (
@@ -100,6 +101,44 @@ def test_E_tail_is_the_c_family():
     E, mu, cs = series_E(order), series_mu(order), coeffs_c(order)
     for n in range(1, order + 1):
         assert E.coefficient(n) == cs[n] == mu.coefficient(n)
+
+
+# --- window honesty of the builders ---------------------------------------------
+
+# cache key -> cached builder
+CACHED_BUILDERS = {
+    "f": series_f,
+    "theta": series_theta,
+    "h": series_h,
+    "y-inverse": flows._y_inverse,
+    "f-plus-1": series_f_plus_1,
+    "f-plus-2": series_f_plus_2,
+    "f-plus": series_f_plus,
+    "H": series_H,
+}
+
+
+def raw_build(name, order, monkeypatch):
+    """What a cold cache builds for ``order``, before any windowing."""
+    monkeypatch.setattr(flows, "_series_cache", {})
+    if name == "E":
+        return series_E(order)
+    CACHED_BUILDERS[name](order)
+    return flows._series_cache[name][1]
+
+
+@pytest.mark.parametrize("name", [*CACHED_BUILDERS, "E"])
+def test_builders_know_exactly_their_window(name, monkeypatch):
+    # one reference at order 48 stands in for the order-2n build of every
+    # n <= 24: it is at least as deep and built on its own cold cache
+    top = 24
+    ref = raw_build(name, 2 * top, monkeypatch)
+    for n in range(1, top + 1):
+        raw = raw_build(name, n, monkeypatch)
+        for w in range(raw.wlead, raw.wprec):
+            e = w if raw.direction == ASCENDING else -w
+            assert raw.coefficient(e) == ref.coefficient(e), (n, e)
+        assert raw == flows._windowed(raw, n), n
 
 
 # --- defining functional equations ----------------------------------------------

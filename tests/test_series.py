@@ -397,3 +397,99 @@ def test_coth_coefficients_are_scaled_bernoulli():
     for k in range(0, order // 2 + 1):
         want = rational(2 ** (2 * k) * bernoulli(2 * k), factorial(2 * k))
         assert ct.coefficient(2 * k - 1) == want, k
+
+
+# --- window honesty ----------------------------------------------------------------
+
+directions = st.sampled_from([ASCENDING, DESCENDING])
+
+
+@st.composite
+def cut_series(draw, direction, lead, unit=False):
+    """(g, g cut short): g has six orders past ``lead``, the cut keeps 1..6."""
+    sign = 1 if direction == ASCENDING else -1
+    head = ONE if unit else draw(small_rationals.filter(lambda c: c != 0))
+    tail = draw(st.lists(small_rationals, min_size=6, max_size=6))
+    g = GradedSeries(
+        direction,
+        {lead: head, **{lead + sign * (k + 1): c for k, c in enumerate(tail)}},
+        prec=lead + sign * 7,
+    )
+    keep = draw(st.integers(min_value=1, max_value=6))
+    return g, g.truncate(lead + sign * keep)
+
+
+def assert_window_agrees(short, full):
+    """``full`` knows every coefficient ``short`` declares known, with its value."""
+    start = min((s.wlead for s in (short, full) if s.coeffs), default=short.wprec)
+    for w in range(start, short.wprec):
+        e = w if short.direction == ASCENDING else -w
+        assert full.known(e), e
+        assert short.coefficient(e) == full.coefficient(e), e
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_mul_window_is_honest(data):
+    d = data.draw(directions)
+    x, x_cut = data.draw(cut_series(d, data.draw(st.integers(-2, 2))))
+    y, _ = data.draw(cut_series(d, data.draw(st.integers(-2, 2))))
+    assert_window_agrees(x_cut * y, x * y)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_reciprocal_window_is_honest(data):
+    x, x_cut = data.draw(cut_series(data.draw(directions), data.draw(st.integers(-2, 2))))
+    assert_window_agrees(x_cut.reciprocal(), x.reciprocal())
+
+
+@given(st.data(), st.sampled_from([rational(1, 2), rational(-1, 2), rational(3, 2), -2, 3]))
+@settings(max_examples=60)
+def test_pow_window_is_honest(data, r):
+    lead = data.draw(st.sampled_from([-2, 0, 2]))
+    x, x_cut = data.draw(cut_series(data.draw(directions), lead, unit=True))
+    assert_window_agrees(x_cut.pow(r), x.pow(r))
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_exp_log_windows_are_honest(data):
+    d = data.draw(directions)
+    sign = 1 if d == ASCENDING else -1
+    x, x_cut = data.draw(cut_series(d, sign * data.draw(st.integers(1, 2))))
+    assert_window_agrees(x_cut.exp(), x.exp())
+    x, x_cut = data.draw(cut_series(d, 0, unit=True))
+    assert_window_agrees(x_cut.log(), x.log())
+
+
+@st.composite
+def composable_pairs(draw):
+    """(outer, outer cut, inner, inner cut) in each convergent shape."""
+    shape = draw(st.sampled_from(["asc-asc", "asc-desc", "desc-desc"]))
+    outer_dir = DESCENDING if shape == "desc-desc" else ASCENDING
+    outer = draw(cut_series(outer_dir, draw(st.integers(-1, 2))))
+    if shape == "asc-asc":
+        inner = draw(cut_series(ASCENDING, draw(st.integers(1, 2))))
+    elif shape == "asc-desc":
+        inner = draw(cut_series(DESCENDING, draw(st.integers(-2, -1))))
+    else:
+        inner = draw(cut_series(DESCENDING, 1, unit=True))
+    return outer + inner
+
+
+@given(composable_pairs())
+@settings(max_examples=60)
+def test_compose_window_is_honest(case):
+    outer, outer_cut, inner, inner_cut = case
+    full = outer.compose(inner)
+    assert_window_agrees(outer_cut.compose(inner), full)
+    assert_window_agrees(outer.compose(inner_cut), full)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_revert_window_is_honest(data):
+    d = data.draw(directions)
+    x, x_cut = data.draw(cut_series(d, 1, unit=d == DESCENDING))
+    assert_window_agrees(x_cut.revert(), x.revert())

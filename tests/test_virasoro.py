@@ -217,6 +217,13 @@ def test_factorization_scan_passes():
     assert report.order == 9
 
 
+@pytest.mark.parametrize("weight", range(1, 11))
+def test_factorization_passes_at_every_weight(weight):
+    # weights 2..4 leave no shift operator; the right-hand side must still
+    # apply exp(sum l_m L_2m)
+    assert verify_factorization(weight).status == PASS
+
+
 def test_factorization_detects_wrong_l1():
     lhs, rhs = factorization_sides(9)
     lhs_bad, _ = factorization_sides(

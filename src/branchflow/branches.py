@@ -12,9 +12,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .exact import ONE, Rational, bernoulli, double_factorial, factorial, rational
-from .report import compare_series, passed, start_clock
-from .series import ASCENDING, DESCENDING, GradedSeries, cosh, coth, csch
+from .exact import ONE, Rational, double_factorial, factorial, rational
+from .report import compare_series, start_clock
+from .series import ASCENDING, GradedSeries, cosh, coth, csch
 
 _lock = threading.Lock()
 _b_table: list = []

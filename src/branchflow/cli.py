@@ -13,6 +13,7 @@ import re
 import sys
 import time
 from dataclasses import replace
+from itertools import product
 
 from .branches import (
     coeffs_b,
@@ -57,74 +58,50 @@ from .virasoro import (
 MAX_ORDER = 200
 ENV_ORDER = "BRANCHFLOW_DEFAULT_ORDER"
 
-# exponent-indexed families: dumped as (exponent, coefficient) from the lead down
-SERIES_FAMILIES = {
-    "theta": series_theta,
-    "f": series_f,
-    "h": series_h,
-    "y": series_y,
-    "fplus": series_f_plus,
-    "F": series_F,
-    "H": series_H,
-    "E": series_E,
+
+def _numbered(values) -> list:
+    return list(enumerate(values, start=1))
+
+
+def _series_rows(series, order: int) -> list:
+    """(exponent, coefficient) for order + 1 exponents from the lead down the window."""
+    step = 1 if series.direction == ASCENDING else -1
+    exponents = [series.lead + step * i for i in range(order + 1)]
+    return [(e, series.coefficient(e)) for e in exponents]
+
+
+# name -> rows(order), the (index, value) pairs of one family.  Entries look
+# builders up by global name at call time, so rebinding a module name reaches them.
+FAMILIES = {
+    "b": lambda order: _numbered(coeffs_b(order).values),
+    "c": lambda order: _numbered(coeffs_c(order).values),
+    "a": lambda order: _numbered(flow_solve(series_f(order)).values),
+    "e": lambda order: _numbered(
+        flow_solve(series_theta(order).compose(series_f(order)), count=order).values
+    ),
+    "ahat": lambda order: _numbered(flow_solve(series_f_plus(order), count=order).values),
+    # l_order sits at z^(1 - 2*order), the last exponent theta(2*order) knows
+    "l": lambda order: _numbered(
+        flow_solve(series_theta(2 * order), count=order, law=LAW_EVEN, sign=-1).values
+    ),
+    "theta": lambda order: _series_rows(series_theta(order), order),
+    "f": lambda order: _series_rows(series_f(order), order),
+    "h": lambda order: _series_rows(series_h(order), order),
+    "y": lambda order: _series_rows(series_y(order), order),
+    "fplus": lambda order: _series_rows(series_f_plus(order), order),
+    "F": lambda order: _series_rows(series_F(order), order),
+    "H": lambda order: _series_rows(series_H(order), order),
+    "E": lambda order: _series_rows(series_E(order), order),
+    # w_1 .. w_order: the series leads at z^1
+    "w0": lambda order: _series_rows(series_w0(order), order - 1),
+    "bernoulli": lambda order: [(n, bernoulli(n)) for n in range(order + 1)],
+    "stirling": lambda order: list(enumerate(stirling_coeffs(order + 1))),
 }
-
-FAMILIES = (
-    "b", "c", "a", "e", "ahat", "l",
-    "theta", "f", "h", "y", "fplus", "F", "H", "E",
-    "w0", "bernoulli", "stirling",
-)
-
-IDENTITIES = (
-    "v-ode",
-    "karamata",
-    "k-functional",
-    "k-integral",
-    "w0-reversion",
-    "lemma-yk",
-    "prop-hy",
-    "fplus-functional",
-    "iden",
-    "flow-laws",
-    "nz-bernoulli",
-    "virasoro-commutators",
-    "heisenberg-commutators",
-    "grading",
-    "factorization",
-    "kw-constraints",
-)
 
 
 def family_rows(family: str, order: int) -> list:
     """(index, value) pairs; series families use exponents counted from the lead."""
-    if family == "b":
-        bs = coeffs_b(order)
-        return [(i, bs[i]) for i in range(1, order + 1)]
-    if family == "c":
-        cs = coeffs_c(order)
-        return [(i, cs[i]) for i in range(1, order + 1)]
-    if family == "a":
-        return list(enumerate(flow_solve(series_f(order)).values, start=1))
-    if family == "e":
-        target = series_theta(order).compose(series_f(order))
-        return list(enumerate(flow_solve(target, count=order).values, start=1))
-    if family == "ahat":
-        return list(enumerate(flow_solve(series_f_plus(order), count=order).values, start=1))
-    if family == "l":
-        # l_order sits at z^(1 - 2*order), the last exponent theta(2*order) knows
-        fc = flow_solve(series_theta(2 * order), count=order, law=LAW_EVEN, sign=-1)
-        return list(enumerate(fc.values, start=1))
-    if family == "w0":
-        w0 = series_w0(order)
-        return [(n, w0.coefficient(n)) for n in range(1, order + 1)]
-    if family == "bernoulli":
-        return [(n, bernoulli(n)) for n in range(order + 1)]
-    if family == "stirling":
-        return list(enumerate(stirling_coeffs(order + 1)))
-    series = SERIES_FAMILIES[family](order)
-    step = 1 if series.direction == ASCENDING else -1
-    exponents = [series.lead + step * i for i in range(order + 1)]
-    return [(e, series.coefficient(e)) for e in exponents]
+    return FAMILIES[family](order)
 
 
 def render_coeffs(family: str, order: int, rows, fmt: str) -> str:
@@ -140,64 +117,50 @@ def render_coeffs(family: str, order: int, rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_pairs(lo: int, hi: int):
-    for m in range(lo, hi + 1):
-        for n in range(lo, hi + 1):
-            yield m, n
+def _cell(report, cell: dict):
+    """A report labelled by its cell of a scan, as in ``grading(m=2)``."""
+    label = ",".join(f"{k}={v}" for k, v in cell.items())
+    return replace(report, identity=f"{report.identity}({label})")
 
 
-def run_identity(name: str, args) -> list:
-    """All reports for one identity name; scans yield one report per tuple."""
-    order = args.order
-    if name == "v-ode":
-        return [verify_b_family(order)]
-    if name == "karamata":
-        return [verify_c_family(order)]
-    if name == "k-functional":
-        return [verify_K_functional(order)]
-    if name == "k-integral":
-        return [verify_K_integral(order)]
-    if name == "w0-reversion":
-        return [verify_w0(order)]
-    if name == "lemma-yk":
-        return [verify_lemma_yk(order)]
-    if name == "prop-hy":
-        return [verify_prop_hy(order)]
-    if name == "fplus-functional":
-        return [verify_fplus_functional(order)]
-    if name == "iden":
-        return [verify_iden(order)]
-    if name == "flow-laws":
-        return [verify_flow_laws(order, seed=args.seed)]
-    if name == "nz-bernoulli":
-        return [verify_nz_identity(order)]
-    if name == "factorization":
-        return [verify_factorization(weight_bound=args.weight)]
-    if name == "kw-constraints":
-        return [
-            replace(verify_kw_constraints(m, fixture_path=args.fixture), identity=f"kw-constraints(m={m})")
-            for m in (1, 2)
-        ]
+def _grid(args, *keys) -> list:
+    """Every cell {key: index} with each index in --range, the first key outermost."""
     lo, hi = args.range
+    return [dict(zip(keys, idx)) for idx in product(range(lo, hi + 1), repeat=len(keys))]
+
+
+def _operator_scan(args, check, cells) -> list:
     corpus = default_corpus(args.weight, max(args.weight, 12), args.seed)
-    if name == "virasoro-commutators":
-        return [
-            replace(check_virasoro_commutator(m, n, corpus), identity=f"virasoro-commutators(m={m},n={n})")
-            for m, n in _scan_pairs(lo, hi)
-        ]
-    if name == "heisenberg-commutators":
-        # alpha_0 has no basic form, so the n = 0 row is not scanned at all
-        return [
-            replace(check_heisenberg_commutator(n, k, corpus), identity=f"heisenberg-commutators(n={n},k={k})")
-            for n, k in _scan_pairs(lo, hi)
-            if n != 0
-        ]
-    if name == "grading":
-        return [
-            replace(check_grading(m, corpus), identity=f"grading(m={m})")
-            for m in range(lo, hi + 1)
-        ]
-    raise ValueError(f"unknown identity {name!r}")
+    return [_cell(check(*cell.values(), corpus), cell) for cell in cells]
+
+
+# name -> runner(args), the reports of one identity, in the order `verify all`
+# runs them.  Entries look verifiers up by global name, as FAMILIES does.
+IDENTITIES = {
+    "v-ode": lambda args: [verify_b_family(args.order)],
+    "karamata": lambda args: [verify_c_family(args.order)],
+    "k-functional": lambda args: [verify_K_functional(args.order)],
+    "k-integral": lambda args: [verify_K_integral(args.order)],
+    "w0-reversion": lambda args: [verify_w0(args.order)],
+    "lemma-yk": lambda args: [verify_lemma_yk(args.order)],
+    "prop-hy": lambda args: [verify_prop_hy(args.order)],
+    "fplus-functional": lambda args: [verify_fplus_functional(args.order)],
+    "iden": lambda args: [verify_iden(args.order)],
+    "flow-laws": lambda args: [verify_flow_laws(args.order, seed=args.seed)],
+    "nz-bernoulli": lambda args: [verify_nz_identity(args.order)],
+    "virasoro-commutators": lambda args: _operator_scan(
+        args, check_virasoro_commutator, _grid(args, "m", "n")
+    ),
+    # alpha_0 has no basic form, so the n = 0 row is not scanned at all
+    "heisenberg-commutators": lambda args: _operator_scan(
+        args, check_heisenberg_commutator, [c for c in _grid(args, "n", "k") if c["n"] != 0]
+    ),
+    "grading": lambda args: _operator_scan(args, check_grading, _grid(args, "m")),
+    "factorization": lambda args: [verify_factorization(weight_bound=args.weight)],
+    "kw-constraints": lambda args: [
+        _cell(verify_kw_constraints(m, fixture_path=args.fixture), {"m": m}) for m in (1, 2)
+    ],
+}
 
 
 def _parse_range(text: str, parser) -> tuple:
@@ -238,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("--out", default=None, help="write to this path instead of stdout")
 
     verify = sub.add_parser("verify", help="run one identity check, or all of them")
-    verify.add_argument("identity", choices=IDENTITIES + ("all",), metavar="identity",
-                        help="one of: " + ", ".join(IDENTITIES + ("all",)))
+    names = [*IDENTITIES, "all"]
+    verify.add_argument("identity", choices=names, metavar="identity",
+                        help="one of: " + ", ".join(names))
     verify.add_argument("--order", default=None,
                         help=f"truncation depth, 1..{MAX_ORDER} (default ${ENV_ORDER} or 40)")
     verify.add_argument("--seed", type=int, default=0, help="seed for sampled corpora")
@@ -252,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_coeffs(args, parser) -> int:
+def run_coeffs(args) -> int:
     text = render_coeffs(args.family, args.order, family_rows(args.family, args.order), args.format)
     if args.out is None:
         sys.stdout.write(text)
@@ -262,17 +226,17 @@ def run_coeffs(args, parser) -> int:
     return 0
 
 
-def run_verify(args, parser) -> int:
+def run_verify(args) -> int:
     names = list(IDENTITIES) if args.identity == "all" else [args.identity]
     t0 = time.perf_counter()
     counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
     for name in names:
         try:
-            reports = run_identity(name, args)
+            reports = IDENTITIES[name](args)
         except SeriesError as exc:
             print(f"internal error: {name}: {exc}", file=sys.stderr)
             return 3
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 2
         for rep in reports:
@@ -322,7 +286,7 @@ def main(argv=None) -> int:
         args.range = _parse_range(args.range, parser)
         if not 1 <= args.weight <= 16:
             parser.error(f"--weight must be between 1 and 16, got {args.weight}")
-    return run_coeffs(args, parser) if args.command == "coeffs" else run_verify(args, parser)
+    return run_coeffs(args) if args.command == "coeffs" else run_verify(args)
 
 
 if __name__ == "__main__":

@@ -413,8 +413,6 @@ class GradedSeries:
 
     def exp(self):
         if not self.coeffs:
-            if self.prec is None:
-                return GradedSeries.constant(1, self.direction)
             return GradedSeries.constant(1, self.direction)._truncate_w(self.wprec)
         wl = self.wlead
         if wl < 1:
@@ -627,7 +625,8 @@ def cosh(g):
 
 
 def coth(g):
-    return cosh(g) * sinh(g).reciprocal()
+    e, e_neg = g.exp(), g.__neg__().exp()
+    return (e + e_neg) * (e - e_neg).reciprocal()
 
 
 def csch(g):

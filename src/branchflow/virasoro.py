@@ -405,18 +405,16 @@ def load_fk_fixture(path=None):
 
 
 def kw_residual(F: QPoly, m: int) -> QPoly:
-    """e^{-F} (L_{2m} - (2m+3) d_{2m+3}) e^{F}, expanded in the log variables."""
+    """e^{-F} (L_{2m} - (2m+3) d_{2m+3}) e^{F}, expanded in the log variables.
+
+    e^{-F} d_a d_b e^{F} = d_a d_b F + d_a F d_b F, so the residual is L_{2m} F
+    plus the bilinear terms (ab/2) d_a F d_b F, minus (2m+3) d_{2m+3} F.
+    """
     two_m = 2 * m
-    out = QPoly.zero()
-    for k in range(1, F.max_index() - two_m + 1):
-        d = F.derivative(k + two_m)
-        if not d.is_zero():
-            out = out + d.mul_var(k).scale(k + two_m)
+    out = make_L(two_m)(F)
     for a in range(1, two_m):
         b = two_m - a
-        da, db = F.derivative(a), F.derivative(b)
-        quad = da.derivative(b) + da * db
-        out = out + quad.scale(Rational(a * b, 2))
+        out = out + (F.derivative(a) * F.derivative(b)).scale(Rational(a * b, 2))
     return out - F.derivative(two_m + 3).scale(two_m + 3)
 
 

@@ -152,6 +152,27 @@ def test_series_identities_pass_at_low_orders(identity, capsys):
         assert [r["status"] for r in json_lines(out)] == ["PASS"], order
 
 
+def test_verify_all_order(capsys):
+    rc, out, _ = run(
+        ["verify", "all", "--order", "4", "--weight", "3", "--range", "0..1"], capsys
+    )
+    assert rc == 0
+    assert [d["identity"] for d in json_lines(out)] == [
+        *SERIES_IDENTITIES,
+        "virasoro-commutators(m=0,n=0)",
+        "virasoro-commutators(m=0,n=1)",
+        "virasoro-commutators(m=1,n=0)",
+        "virasoro-commutators(m=1,n=1)",
+        "heisenberg-commutators(n=1,k=0)",
+        "heisenberg-commutators(n=1,k=1)",
+        "grading(m=0)",
+        "grading(m=1)",
+        "factorization",
+        "kw-constraints(m=1)",
+        "kw-constraints(m=2)",
+    ]
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     from branchflow import cli
     from branchflow.series import TruncationError

@@ -387,6 +387,9 @@ def test_coth_csch_pole_expansions():
     assert cs.coefficient(-1) == ONE
     assert cs.coefficient(1) == rational(-1, 6)
     assert cs.coefficient(3) == rational(7, 360)
+    # == compares windows too
+    for g in (asc({1: 1, 2: rational(1, 2), 3: -3}, prec=9), desc({-1: 1, -2: 2}, prec=-8)):
+        assert coth(g) == cosh(g) * csch(g)
 
 
 def test_coth_coefficients_are_scaled_bernoulli():

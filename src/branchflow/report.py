@@ -33,10 +33,6 @@ class VerificationReport:
         if (self.status == FAIL) != (self.first_mismatch is not None):
             raise ValueError("first_mismatch must be present exactly when status is FAIL")
 
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
-
     def to_dict(self) -> dict:
         mm = None
         if self.first_mismatch is not None:

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports (``__init__`` re-exports)."""
+"""Every module of the package uses every name it imports (``__init__`` re-exports)
+and every module-level private name it defines."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,47 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_privates(source: str) -> list:
+    """Module-level private functions, classes and constants the module never
+    reads outside their own definition (a recursive call does not count)."""
+    tree = ast.parse(source)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        for name in names:
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(
+                isinstance(n, ast.Name) and n.id == name and id(n) not in own
+                for n in ast.walk(tree)
+            ):
+                unused.append(name)
+    return sorted(unused)
+
+
+def test_scan_finds_unused_privates():
+    source = (
+        "_USED = 1\n"
+        "_DEAD: int = 2\n"
+        "__version__ = '1'\n"
+        "def _walk(n):\n    return _walk(n - 1) if n else _USED\n"
+        "def _helper():\n    pass\n"
+        "class _Gone:\n    pass\n"
+        "def public():\n    return _helper()\n"
+    )
+    assert unused_privates(source) == ["_DEAD", "_Gone", "_walk"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_privates(path):
+    assert unused_privates(path.read_text(encoding="utf-8")) == []

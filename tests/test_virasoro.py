@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchflow import (
     FAIL,
@@ -29,6 +31,7 @@ from branchflow import (
     verify_factorization,
     verify_kw_constraints,
 )
+from branchflow import virasoro
 from branchflow.exact import rational
 from branchflow.virasoro import factorization_sides
 
@@ -79,6 +82,13 @@ def test_qpoly_derivative_and_mul_var():
     assert ONE.derivative(1).is_zero()
 
 
+def test_mul_var_rejects_nonpositive_index():
+    with pytest.raises(ValueError):
+        Q1.mul_var(0)
+    with pytest.raises(ValueError):
+        Q1.mul_var(-3)
+
+
 def test_weight_parts_sorted_ascending():
     p = QPoly.variable(5) + Q1 + ONE
     assert list(p.weight_parts().keys()) == [0, 1, 5]
@@ -125,6 +135,96 @@ def test_operator_metadata():
     assert make_d(5).delta == -5
 
 
+# --- monomial images against the defining sums ----------------------------------
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6).map(R)
+
+# several monomials in q_1..q_5 with up to four factors, so indices repeat;
+# zero coefficients go through the public constructor, which drops them
+qpolys = st.dictionaries(
+    st.lists(st.integers(min_value=1, max_value=5), max_size=4).map(
+        lambda idx: tuple(sorted(idx))
+    ),
+    small_rationals,
+    max_size=6,
+).map(QPoly)
+
+
+def ref_d(idx, j):
+    """d/dq_j of the monomial q^idx by the product rule, one term per factor q_j."""
+    return [(idx[:i] + idx[i + 1:], 1) for i, x in enumerate(idx) if x == j]
+
+
+def ref_L(m, idx):
+    """The three sums that define L_m, applied to the monomial q^idx."""
+    out = []
+    for k in range(max(1, 1 - m), max(idx, default=0) - m + 1):
+        out += [(rest + [k], (k + m) * w) for rest, w in ref_d(idx, k + m)]
+    for a in range(1, m):
+        for rest, w in ref_d(idx, a):
+            out += [(r, R(a * (m - a), 2) * w * v) for r, v in ref_d(rest, m - a)]
+    for i in range(1, -m):
+        out.append((idx + [i, -m - i], R(1, 2)))
+    return out
+
+
+def ref_apply(image, terms):
+    """Linear extension of a monomial image over a plain {key: coefficient} dict."""
+    out = {}
+    for key, coeff in terms.items():
+        for idx, w in image(list(key)):
+            k = tuple(sorted(idx))
+            out[k] = out.get(k, 0) + w * coeff
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def ref_exp(image, terms):
+    """sum_n A^n p / n! over plain dicts, for a weight-lowering image A."""
+    acc, term, n = dict(terms), dict(terms), 1
+    while term:
+        term = {k: c / n for k, c in ref_apply(image, term).items()}
+        for k, c in term.items():
+            acc[k] = acc.get(k, 0) + c
+        n += 1
+    return QPoly(acc)
+
+
+def is_canonical(p):
+    return QPoly(p.terms).terms == p.terms
+
+
+@given(qpolys, qpolys, small_rationals)
+@settings(max_examples=60)
+def test_operators_match_defining_sums_and_stay_canonical(p, q, c):
+    results = [p + q, p - q, p * q, -p, p.scale(c), p.scale(0), *p.weight_parts().values()]
+    for j in range(1, 6):
+        results += [p.derivative(j), p.mul_var(j)]
+        for op, image in [
+            (make_d(j), lambda idx: ref_d(idx, j)),
+            (make_alpha(j), lambda idx: [(r, j * w) for r, w in ref_d(idx, j)]),
+            (make_alpha(-j), lambda idx: [(idx + [j], 1)]),
+        ]:
+            results.append(op(p))
+            assert results[-1] == QPoly(ref_apply(image, p.terms)), op.name
+    for m in range(-6, 7):
+        results.append(make_L(m)(p))
+        assert results[-1] == QPoly(ref_apply(lambda idx: ref_L(m, idx), p.terms)), m
+    ops = [(c, make_L(1)), (R(1, 3), make_L(4)), (R(-2), make_d(2))]
+    refs = [
+        (c, lambda idx: ref_L(1, idx)),
+        (R(1, 3), lambda idx: ref_L(4, idx)),
+        (R(-2), lambda idx: ref_d(idx, 2)),
+    ]
+
+    def total(idx):
+        return [(r, k * w) for k, ref in refs for r, w in ref(idx)]
+
+    results.append(exp_op_apply(ops, p))
+    assert results[-1] == ref_exp(total, p.terms)
+    assert all(is_canonical(r) for r in results)
+
+
 # --- commutator scans -------------------------------------------------------
 
 
@@ -148,6 +248,20 @@ def test_grading_scan():
     corpus = corpus_monomials(6)
     for m in range(-3, 4):
         assert check_grading(m, corpus).status == PASS
+
+
+def test_grading_reports_canonical_first_term(monkeypatch):
+    # a mis-graded L_0: the weight-1 input q_1 lands in weight 2, whose
+    # canonical first term is q_1^2 although the image lists q_2 first
+    bad = LinearOp("L[0]", 0, lambda key: [((2,), R(7)), ((1, 1), R(5))])
+    monkeypatch.setattr(virasoro, "make_L", lambda m: bad)
+    report = check_grading(0, [Q1])
+    assert report.status == FAIL
+    assert report.identity == "grading"
+    assert report.order == 1
+    assert report.first_mismatch.exponent == 2
+    assert report.first_mismatch.lhs == "5"
+    assert report.first_mismatch.rhs == "0"
 
 
 def test_jacobi_identity():

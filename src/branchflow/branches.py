@@ -9,16 +9,12 @@ recurrences never certify themselves.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 
-from .exact import ONE, Rational, double_factorial, factorial, rational
+from .exact import ONE, Rational, double_factorial, factorial
 from .report import compare_series, start_clock
 from .series import ASCENDING, GradedSeries, cosh, coth, csch
-
-_lock = threading.Lock()
-_b_table: list = []
-_c_table: list = []
 
 
 @dataclass(frozen=True)
@@ -37,44 +33,55 @@ class BranchCoeffs:
         return len(self.values)
 
 
-def _fill_b(order: int) -> None:
-    # (n+1) b_n = b_{n-1} - sum_{k=2}^{n-1} k b_k b_{n+1-k},  b_1 = 1, b_2 = 1/3
-    t = _b_table
-    if not t:
-        t.extend([ONE, Rational(1, 3)])
-    while len(t) < order:
-        n = len(t) + 1
-        acc = t[n - 2]
-        for k in range(2, n):
-            acc -= k * t[k - 1] * t[n - k]
-        t.append(acc / (n + 1))
+class _Recurrence:
+    """t_1, t_2, ... of ``(n+1) t_n = rest(n) - sum_{k=2}^{n-1} k t_k t_{n+1-k}``.
+
+    Besides the Rationals ``values``, the table keeps integer numerators
+    ``nums`` over one common denominator ``den``, so each step sums its
+    convolution in Python ints (the terms ``k`` and ``n+1-k`` pair to
+    ``(n+1) N_k N_{n+1-k}``) and reduces one Rational.  ``rest(nums, den)`` is
+    the numerator of ``rest(n)`` over ``den^2``.
+    """
+
+    def __init__(self, t2, rest):
+        self.values = [ONE, t2]
+        self.den = t2.denominator
+        self.nums = [self.den, t2.numerator]
+        self.rest = rest
+
+    def __call__(self, order: int) -> tuple:
+        vals, nums = self.values, self.nums
+        while len(vals) < order:
+            n = len(vals) + 1
+            d = self.den
+            conv = (n + 1) * sum(nums[k - 1] * nums[n - k] for k in range(2, n // 2 + 1))
+            if n % 2:
+                m = (n + 1) // 2
+                conv += m * nums[m - 1] ** 2
+            value = Rational(self.rest(nums, d) - conv, d * d * (n + 1))
+            q = value.denominator
+            if d % q:
+                self.den = math.lcm(d, q)
+                scale, d = self.den // d, self.den
+                for i in range(len(nums)):
+                    nums[i] *= scale
+            nums.append(value.numerator * (d // q))
+            vals.append(value)
+        return tuple(vals[:order])
 
 
-def _fill_c(order: int) -> None:
-    # (n+1) c_n = 2 + sum_{j=2}^{n-1} c_j (1 - j c_{n-j+1}),  c_1 = 1, c_2 = 2/3
-    t = _c_table
-    if not t:
-        t.extend([ONE, Rational(2, 3)])
-    while len(t) < order:
-        n = len(t) + 1
-        acc = rational(2)
-        for j in range(2, n):
-            acc += t[j - 1] * (1 - j * t[n - j])
-        t.append(acc / (n + 1))
+# b_1 = 1, b_2 = 1/3; rest(n) = b_{n-1}
+_b_table = _Recurrence(Rational(1, 3), lambda nums, d: nums[-1] * d)
+# c_1 = 1, c_2 = 2/3; rest(n) = 2 + sum_{j=2}^{n-1} c_j
+_c_table = _Recurrence(Rational(2, 3), lambda nums, d: 2 * d * d + sum(nums[1:]) * d)
 
 
 def coeffs_b(order: int) -> BranchCoeffs:
-    with _lock:
-        _fill_b(order)
-        vals = tuple(_b_table[:order])
-    return BranchCoeffs("b", vals)
+    return BranchCoeffs("b", _b_table(order))
 
 
 def coeffs_c(order: int) -> BranchCoeffs:
-    with _lock:
-        _fill_c(order)
-        vals = tuple(_c_table[:order])
-    return BranchCoeffs("c", vals)
+    return BranchCoeffs("c", _c_table(order))
 
 
 def oracle_b(order: int) -> BranchCoeffs:

@@ -10,7 +10,6 @@ stdlib Fraction otherwise; the two are interchangeable members of
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 try:
@@ -56,23 +55,19 @@ def double_factorial(n: int) -> int:
     return out
 
 
-_bernoulli_lock = threading.Lock()
 _bernoulli_table: list = []
 
 
 def bernoulli(n: int):
     """Bernoulli number B_n with the B_1 = -1/2 convention.
 
-    Computed once as the reciprocal of (e^t - 1)/t in the series engine and
-    cached; the table is extended in blocks under a lock so concurrent
-    readers only ever observe fully written entries.
+    Computed as the reciprocal of (e^t - 1)/t in the series engine and cached;
+    the table is extended in blocks, to twice the index asked for.
     """
     if n < 0:
         raise ValueError(f"Bernoulli number undefined for index {n}")
     if n >= len(_bernoulli_table):
-        with _bernoulli_lock:
-            if n >= len(_bernoulli_table):
-                _fill_bernoulli(max(2 * n, 32))
+        _fill_bernoulli(max(2 * n, 32))
     return _bernoulli_table[n]
 
 

@@ -11,7 +11,6 @@ solved back from any target of the form z + lower order.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, replace
 
 from .branches import coeffs_b, coeffs_c, series_K
@@ -30,8 +29,6 @@ from .series import (
 LAW_STANDARD = "standard"  # p(k) = 1 - k
 LAW_EVEN = "even"  # p(m) = 1 - 2m
 
-# RLock: builders are allowed to call other cached constructors
-_cache_lock = threading.RLock()
 _series_cache: dict = {}
 
 
@@ -111,8 +108,13 @@ def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:
 def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> FlowCoeffs:
     """Solve exp(sign * sum g_k z^{p(k)} d/dz) z = target for the g_k.
 
-    Coefficient k is read off at exponent p(k): everything else contributing
-    there involves only g_1 .. g_{k-1}, so the system is triangular.
+    One pass over the depth d = 1 - exponent fills the terms of the flow,
+    T_0 = z and T_j = G T_{j-1}' / j with G = sign * sum g_k z^{p(k)}.  T_j
+    starts at depth j, and at depth d it needs G and T_{j-1} only at smaller
+    depths, so at the depth of p(k) every term but T_1 = G is known and g_k is
+    sign times the target coefficient minus their sum: the system is
+    triangular (relaxed evaluation, van der Hoeven 2002).  The law and the
+    target window are checked one coefficient at a time, in that order.
     """
     if target.direction != DESCENDING:
         raise SeriesError("flows act on descending series")
@@ -126,22 +128,27 @@ def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> Fl
         while p(count + 1) > target.prec:
             count += 1
     vals: list = []
+    G: dict = {}  # depth -> coefficient of G
+    flow: list = [None, G]  # flow[j][d]: coefficient of T_j at depth d
     prev = 1
     for k in range(1, count + 1):
         pk = p(k)
         if pk > 0 or pk >= prev:
             raise SeriesError("exponent law must lower the order strictly")
-        prev = pk
         tk = target.coefficient(pk)
-        if vals:
-            gen = GradedSeries(
-                DESCENDING, {p(j): sign * g for j, g in enumerate(vals, start=1)}
-            )
-            known = _exp_flow(gen, GradedSeries.identity(DESCENDING, prec=pk - 1))
-            ak = known.coefficient(pk)
-        else:
-            ak = ZERO
-        vals.append(sign * (tk - ak))
+        for d in range(2 - prev, 2 - pk):
+            flow.append({})  # T_{d+1}, which starts at depth d + 1
+            for j in range(2, d + 1):
+                below = flow[j - 1]
+                t = sum(
+                    (g * (1 - d + dg) * below[d - dg] for dg, g in G.items() if d - dg in below),
+                    ZERO,
+                )
+                if t:
+                    flow[j][d] = t / j
+        G[1 - pk] = tk - sum((flow[j].get(1 - pk, ZERO) for j in range(2, 2 - pk)), ZERO)
+        vals.append(sign * G[1 - pk])
+        prev = pk
     return FlowCoeffs(tuple(vals), law, sign)
 
 
@@ -164,11 +171,10 @@ def _windowed(series: GradedSeries, order: int) -> GradedSeries:
 
 
 def _cached_series(name: str, order: int, build) -> GradedSeries:
-    with _cache_lock:
-        have = _series_cache.get(name)
-        if have is None or have[0] < order:
-            have = (order, build(order))
-            _series_cache[name] = have
+    have = _series_cache.get(name)
+    if have is None or have[0] < order:
+        have = (order, build(order))
+        _series_cache[name] = have
     return _windowed(have[1], order)
 
 

@@ -55,14 +55,15 @@ class QPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        pairs = []
         for key, coeff in (terms or {}).items():
             if coeff == 0:
                 continue
             if any(i < 1 for i in key):
                 raise ValueError(f"q-indices must be positive, got {key}")
-            clean[_key(key)] = coeff
-        object.__setattr__(self, "terms", clean)
+            pairs.append((_key(key), coeff))
+        # keys that canonicalise to one monomial are summed
+        object.__setattr__(self, "terms", _collect(pairs).terms)
 
     @classmethod
     def _of(cls, terms: dict) -> "QPoly":
@@ -73,10 +74,6 @@ class QPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls({})
 
     @classmethod
     def one(cls) -> "QPoly":
@@ -95,9 +92,6 @@ class QPoly:
 
     def coefficient(self, indices):
         return self.terms.get(_key(indices), ZERO)
-
-    def max_index(self) -> int:
-        return max((key[-1] for key in self.terms if key), default=0)
 
     def max_weight(self) -> int:
         return max((sum(key) for key in self.terms), default=0)
@@ -393,10 +387,12 @@ def load_fk_fixture(path=None):
         with open(path, "r", encoding="utf-8") as fh:
             blob = fh.read()
     doc = json.loads(blob)
-    terms = {
-        tuple(rec["monomial"]): rational(rec["coefficient"])
-        for rec in doc["terms"]
-    }
+    terms: dict = {}
+    for rec in doc["terms"]:
+        key = _key(rec["monomial"])
+        if key in terms:
+            raise ValueError(f"fixture lists the monomial {list(key)} twice")
+        terms[key] = rational(rec["coefficient"])
     return QPoly(terms), int(doc["weight_bound"])
 
 

@@ -1,7 +1,10 @@
 """Branch expansions of w e^w at the critical point: recurrences, oracles, verifiers."""
 
+from fractions import Fraction
+
 import pytest
 
+from branchflow import branches
 from branchflow.branches import (
     coeffs_b,
     coeffs_c,
@@ -142,3 +145,44 @@ def test_b_odd_tail_alternates_from_b7():
     bs = coeffs_b(13)
     assert bs[7] != ZERO and bs[9] != ZERO and bs[11] != ZERO
     assert bs[5] > 0 > bs[7]
+
+
+# --- the integer tables against a plain Fraction recurrence ----------------------
+
+
+def _fraction_b(order):
+    # (n+1) b_n = b_{n-1} - sum_{k=2}^{n-1} k b_k b_{n+1-k}
+    t = [Fraction(1), Fraction(1, 3)]
+    while len(t) < order:
+        n = len(t) + 1
+        acc = t[n - 2] - sum(k * t[k - 1] * t[n - k] for k in range(2, n))
+        t.append(acc / (n + 1))
+    return tuple(t[:order])
+
+
+def _fraction_c(order):
+    # (n+1) c_n = 2 + sum_{j=2}^{n-1} c_j (1 - j c_{n-j+1})
+    t = [Fraction(1), Fraction(2, 3)]
+    while len(t) < order:
+        n = len(t) + 1
+        acc = 2 + sum(t[j - 1] * (1 - j * t[n - j]) for j in range(2, n))
+        t.append(acc / (n + 1))
+    return tuple(t[:order])
+
+
+@pytest.mark.parametrize(
+    "table, coeffs, reference",
+    [("_b_table", coeffs_b, _fraction_b), ("_c_table", coeffs_c, _fraction_c)],
+)
+def test_integer_tables_match_fraction_recurrence(monkeypatch, table, coeffs, reference):
+    # a fresh table grown in two steps, so the second resumes over the
+    # common denominator the first one left
+    old = getattr(branches, table)
+    fresh = branches._Recurrence(old.values[1], old.rest)
+    monkeypatch.setattr(branches, table, fresh)
+    expected = reference(150)
+    assert coeffs(7).values == expected[:7]
+    den = fresh.den
+    assert coeffs(150).values == expected
+    assert fresh.den != den and fresh.den % den == 0
+    assert [Fraction(n, fresh.den) for n in fresh.nums] == list(expected)

@@ -287,6 +287,16 @@ def test_verify_kw_corrupted_fixture_fails(tmp_path, capsys):
     assert "FAIL kw-constraints(m=1)" in err
 
 
+def test_verify_kw_fixture_with_a_repeated_monomial_is_usage_error(tmp_path, capsys):
+    def repeat(doc):
+        doc["terms"].append({"monomial": [3, 1, 1, 1], "coefficient": "1"})
+
+    path = _write_fixture(tmp_path, repeat)
+    rc, out, err = run(["verify", "kw-constraints", "--fixture", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: kw-constraints:") and "[1, 1, 1, 3]" in err
+
+
 def test_verify_kw_malformed_fixture_is_usage_error(tmp_path, capsys):
     path = tmp_path / "fixture.json"
     path.write_text("{not valid json")

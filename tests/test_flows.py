@@ -1,12 +1,15 @@
 """Named series, derivation flows, and the flow-based verifiers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchflow import flows
 from branchflow.branches import coeffs_b, coeffs_c, series_K
 from branchflow.exact import ONE, ZERO, bernoulli, rational
 from branchflow.flows import (
     LAW_EVEN,
+    LAW_STANDARD,
     FlowCoeffs,
     flow_apply,
     flow_solve,
@@ -32,6 +35,7 @@ from branchflow.series import (
     ASCENDING,
     DESCENDING,
     GradedSeries,
+    LeadingTermError,
     SeriesError,
     SubstitutionError,
     TruncationError,
@@ -278,6 +282,73 @@ def test_solve_is_triangular():
     assert fc.values[0] == base.values[0]
     assert fc.values[1] == base.values[1]
     assert fc.values[2] != base.values[2]
+
+
+def _solve_by_reapplying(target, count, law, sign):
+    """g_k read off flow_apply of the generator g_1 .. g_{k-1} (g_k set to 0)."""
+    p = FlowCoeffs((), law).exponent
+    vals = []
+    for k in range(1, count + 1):
+        z = GradedSeries.identity(DESCENDING, prec=p(k) - 1)
+        known = flow_apply(FlowCoeffs(tuple(vals) + (ZERO,), law, sign), z)
+        vals.append(sign * (target.coefficient(p(k)) - known.coefficient(p(k))))
+    return tuple(vals)
+
+
+def _law_by_threes(k):
+    return 1 - 3 * k
+
+
+@st.composite
+def flow_problems(draw):
+    law = draw(st.sampled_from([LAW_STANDARD, LAW_EVEN, _law_by_threes]))
+    p = FlowCoeffs((), law).exponent
+    depth = draw(st.integers(min_value=0, max_value=8))
+    tail = draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=7) | st.just(0),
+            min_size=depth,
+            max_size=depth,
+        )
+    )
+    target = GradedSeries(
+        DESCENDING, {1: 1, **{-i: c for i, c in enumerate(tail)}}, prec=-depth
+    )
+    fits = 0
+    while p(fits + 1) > target.prec:
+        fits += 1
+    count = draw(st.none() | st.integers(min_value=0, max_value=fits))
+    return target, count, fits if count is None else count, law, draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(flow_problems())
+def test_flow_solve_matches_per_coefficient_reapplication(problem):
+    target, count, solved, law, sign = problem
+    fc = flow_solve(target, count=count, law=law, sign=sign)
+    assert fc.values == _solve_by_reapplying(target, solved, law, sign)
+    assert (fc.law, fc.sign) == (law, sign)
+
+
+def test_flow_solve_refusals_in_order():
+    f = series_f(6)
+    with pytest.raises(SeriesError, match="descending"):
+        flow_solve(GradedSeries.identity(ASCENDING, prec=5), count=2)
+    for lead in ({1: 2, 0: 1}, {2: 1, 1: 1}, {0: 1}):
+        with pytest.raises(LeadingTermError):
+            flow_solve(GradedSeries(DESCENDING, lead, prec=-4), count=2)
+    with pytest.raises(TruncationError, match="count must be given"):
+        flow_solve(GradedSeries(DESCENDING, {1: 1, -1: 3}))
+    # the law is checked before each coefficient is read, one coefficient at
+    # a time: whichever of a bad exponent and an exponent outside the target's
+    # window comes first is refused
+    for law in (lambda k: 1, lambda k: [0, 0, -20][k - 1], lambda k: [0, -1, -1][k - 1]):
+        with pytest.raises(SeriesError, match="lower the order") as bad_law:
+            flow_solve(f, count=3, law=law)
+        assert bad_law.type is SeriesError
+    with pytest.raises(TruncationError):
+        flow_solve(f, count=3, law=lambda k: [0, -20, -20][k - 1])
+    assert flow_solve(f, count=0, law=lambda k: 1).values == ()
 
 
 def test_even_law_solves_theta():

@@ -71,8 +71,12 @@ def test_qpoly_arithmetic():
         {(1, 1): R(1), (1, 3): R(2), (3, 3): R(1)}
     )
     assert (sq - sq).is_zero()
-    assert -p + p == QPoly.zero()
     assert p.scale(R(1, 2)) + p.scale(R(1, 2)) == p
+
+
+def test_qpoly_sums_keys_of_one_monomial():
+    assert QPoly({(3, 1): R(1), (1, 3): R(2)}).terms == {(1, 3): R(3)}
+    assert QPoly({(2, 1, 1): R(1), (1, 2, 1): R(-1), (4,): R(5)}).terms == {(4,): R(5)}
 
 
 def test_qpoly_derivative_and_mul_var():
@@ -93,7 +97,6 @@ def test_weight_parts_sorted_ascending():
     p = QPoly.variable(5) + Q1 + ONE
     assert list(p.weight_parts().keys()) == [0, 1, 5]
     assert p.max_weight() == 5
-    assert p.max_index() == 5
 
 
 # --- the operators ---------------------------------------------------------
@@ -388,6 +391,22 @@ def test_fixture_explicit_path_roundtrip(tmp_path):
     F, bound = load_fk_fixture(path)
     assert bound == 3
     assert F.coefficient((3,)) == R(1, 24)
+
+
+@pytest.mark.parametrize("repeat", [[1, 2], [2, 1]], ids=["verbatim", "reordered"])
+def test_fixture_refuses_a_monomial_listed_twice(tmp_path, repeat):
+    doc = {
+        "weight_bound": 3,
+        "terms": [
+            {"monomial": [1, 2], "coefficient": "1/2"},
+            {"monomial": [3], "coefficient": "1/24"},
+            {"monomial": repeat, "coefficient": "1/3"},
+        ],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"monomial \[1, 2\] twice"):
+        load_fk_fixture(path)
 
 
 # --- the string-type constraints -----------------------------------------------

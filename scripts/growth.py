@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Time one series operation at several orders and fit how its cost grows.
+
+    python3 scripts/growth.py exp --orders 40 80 120 200
+    python3 scripts/growth.py coth --orders 40 80 --runs 1 --src ../other/src
+
+Each (order, run) is a fresh interpreter that builds the operation's input
+and times only the operation itself with ``time.perf_counter``.  The last
+stdout line is one JSON object: the median time per order and the exponent
+of the least-squares line through (log order, log time).  ``--src`` points
+at the ``src`` directory of another checkout, so one harness times both
+sides of a change.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# name -> (what is timed, input setup, timed statement); ``n`` is the order
+OPS = {
+    "exp": (
+        "exp(-mu), mu = series_mu(n), the dense c-family series",
+        "from branchflow import series_mu\nx = -series_mu(n)",
+        "x.exp()",
+    ),
+    "log": (
+        "log(1 + mu), mu = series_mu(n)",
+        "from branchflow import series_mu\nx = 1 + series_mu(n)",
+        "x.log()",
+    ),
+    "coth": (
+        "coth(K), K = series_K(n)",
+        "from branchflow import series_K\nfrom branchflow.series import coth\nx = series_K(n)",
+        "coth(x)",
+    ),
+    "revert": (
+        "revert(t e^t) known below t^(n+1)",
+        "from branchflow.series import ASCENDING, GradedSeries\n"
+        "t = GradedSeries.identity(ASCENDING, prec=n + 1)\nx = t * t.exp()",
+        "x.revert()",
+    ),
+    "compose": (
+        "series_theta(n).compose(series_f(n))",
+        "from branchflow import series_f, series_theta\nx, y = series_theta(n), series_f(n)",
+        "x.compose(y)",
+    ),
+    "flow_solve": (
+        "flow_solve(series_f(n))",
+        "from branchflow import flow_solve, series_f\nx = series_f(n)",
+        "flow_solve(x)",
+    ),
+}
+
+CHILD = """\
+import sys, time
+sys.path.insert(0, {src!r})
+n = {n}
+{setup}
+t0 = time.perf_counter()
+{stmt}
+print(time.perf_counter() - t0)
+"""
+
+
+def time_once(src, op, n):
+    _, setup, stmt = OPS[op]
+    code = CHILD.format(src=src, n=n, setup=setup, stmt=stmt)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{op} at order {n} failed:\n{done.stderr}")
+    return float(done.stdout.split()[-1])
+
+
+def growth_exponent(orders, times):
+    """Slope of the least-squares line through (log order, log time)."""
+    if len(orders) < 2:
+        return None
+    xs = [math.log(n) for n in orders]
+    ys = [math.log(t) for t in times]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("op", choices=sorted(OPS))
+    parser.add_argument("--orders", type=int, nargs="+", required=True)
+    parser.add_argument("--runs", type=int, default=3, help="fresh interpreters per order")
+    parser.add_argument("--src", default=SRC, help="src directory of the checkout to time")
+    args = parser.parse_args(argv)
+    if args.runs < 1 or any(n < 1 for n in args.orders):
+        parser.error("--runs and every order must be at least 1")
+
+    orders = sorted(set(args.orders))
+    medians = [
+        statistics.median(time_once(args.src, args.op, n) for _ in range(args.runs))
+        for n in orders
+    ]
+    slope = growth_exponent(orders, medians)
+    print(json.dumps({
+        "op": args.op,
+        "what": OPS[args.op][0],
+        "python": platform.python_version(),
+        "runs": args.runs,
+        "orders": orders,
+        "median_s": [round(t, 6) for t in medians],
+        "growth_exp": None if slope is None else round(slope, 2),
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -377,7 +377,7 @@ class GradedSeries:
 
         A non-integer power ``r`` of ``z^e0 (1 + s)`` is ``z^(r*e0) (1 + s)^r``,
         whose second factor comes from J.C.P. Miller's recurrence (see
-        :func:`_power_coeffs`).  ``r*e0`` must be an integer.  The result is
+        :func:`_first_order`).  ``r*e0`` must be an integer.  The result is
         known to the input's relative depth: ``wprec - wlead`` orders past its
         lead ``z^(r*e0)``.
         """
@@ -402,7 +402,7 @@ class GradedSeries:
         L = self.wlead
         s = sorted((self._w(e) - L, c) for e, c in self.coeffs.items() if e != e0)
         depth = wp - L
-        out = _power_coeffs(s, r, depth)
+        out = _first_order(s, depth, r.numerator, r.denominator, r.denominator)
         rel = GradedSeries._from_w(self.direction, dict(enumerate(out)), depth)
         return rel.shift(int(shift_exp))
 
@@ -412,43 +412,41 @@ class GradedSeries:
     # --- transcendental maps ---------------------------------------------
 
     def exp(self):
+        """``e^s`` for ``s`` without a constant term, known on the window of ``s``.
+
+        ``E = e^s`` solves ``E' = s'E``, so in w-space ``e_0 = 1`` and
+        ``e_k = (1/k) sum_{j=1..k} j s_j e_(k-j)`` (:func:`_first_order`).
+        ``e_k`` reads only ``s_1 .. s_k``, so every ``w < wprec`` is exact.
+        """
         if not self.coeffs:
             return GradedSeries.constant(1, self.direction)._truncate_w(self.wprec)
-        wl = self.wlead
-        if wl < 1:
+        if self.wlead < 1:
             raise LeadingTermError(
                 "exp requires every term to lower the order strictly (no constant term)"
             )
         wp = self.wprec
         if wp is None:
             raise TruncationError("exp does not terminate on exact input; truncate() first")
-        total = self._add_scalar(1)
-        term = self
-        n = 1
-        while (n + 1) * wl < wp:
-            n += 1
-            term = term * self * Rational(1, n)
-            total = total + term
-        return total
+        s = sorted((self._w(e), c) for e, c in self.coeffs.items())
+        return GradedSeries._from_w(self.direction, dict(enumerate(_first_order(s, wp, 1, 0))), wp)
 
     def log(self):
-        if self.coeffs.get(0) != 1 or (self.coeffs and self.wlead != 0):
+        """``log(1 + s)`` for ``s`` without a constant term, known on its window.
+
+        ``L = log(1 + s)`` solves ``(1 + s)L' = s'``, so in w-space ``L_0 = 0`` and
+        ``k L_k = k s_k - sum_{j=1..k-1} (k-j) L_(k-j) s_j`` (:func:`_first_order`).
+        ``L_k`` reads only ``s_1 .. s_k``, so every ``w < wprec`` is exact.
+        """
+        if self.coeffs.get(0) != 1 or self.wlead != 0:
             raise LeadingTermError("log requires leading term exactly 1")
         wp = self.wprec
-        s = self._add_scalar(-1)
-        if s.is_zero():
+        if len(self.coeffs) == 1:
             return GradedSeries.zero(self.direction, self.prec)
         if wp is None:
             raise TruncationError("log does not terminate on exact input; truncate() first")
-        wl = s.wlead
-        total = s
-        power = s
-        k = 1
-        while (k + 1) * wl < wp:
-            k += 1
-            power = power * s
-            total = total + power * Rational((-1) ** (k + 1), k)
-        return total
+        s = sorted((self._w(e), c) for e, c in self.coeffs.items() if e)
+        out = _first_order(s, wp, 0, 1, head=ZERO, source=s)
+        return GradedSeries._from_w(self.direction, dict(enumerate(out)), wp)
 
     # --- calculus ---------------------------------------------------------
 
@@ -533,7 +531,7 @@ class GradedSeries:
         Ascending input must look like ``c1*z + ...`` with ``c1 != 0``;
         descending input must look like ``z + c0 + c1/z + ...``.  For
         ascending ``g``, ``[z^k] g^-1 = (1/k) [w^(k-1)] (w/g(w))^k``, each
-        power from :func:`_power_coeffs`.  Descending ``g`` is conjugated to
+        power from :func:`_first_order`.  Descending ``g`` is conjugated to
         the ascending ``G(t) = 1/g(1/t)``, whose inverse conjugates back the
         same way.  The result window matches the input's.
         """
@@ -556,7 +554,7 @@ class GradedSeries:
         out = {}
         for k in range(1, wp):
             scale *= inv
-            c = _power_coeffs(t, -k, k)[k - 1]
+            c = _first_order(t, k, -k, 1)[k - 1]
             if c:
                 out[k] = c * scale / k
         return GradedSeries(ASCENDING, out, wp)
@@ -588,25 +586,26 @@ def _eval_polynomial(coeffs, kmin, deg, x):
     return acc
 
 
-def _power_coeffs(s, r, depth):
-    """Coefficients ``g_0 .. g_(depth-1)`` of ``(1 + s)^r``, ``r`` rational.
+def _first_order(s, depth, p, b, q=1, head=ONE, source=()):
+    """``g_0 = head, g_1 .. g_(depth-1)`` solving ``(q + b s) g' = p s' g + source'``.
 
-    ``s`` lists ``(j, s_j)`` with ``j >= 1`` in ascending order.  J.C.P.
-    Miller's recurrence ``g_0 = 1``,
-    ``g_k = (1/k) sum_{j=1..k} ((r+1) j - k) s_j g_(k-j)`` costs one pass
-    over ``s`` per coefficient.
+    ``s`` and ``source`` list ``(j, c_j)``, ``j >= 1``, ascending.  The
+    coefficients of ``w^(k-1)`` give ``q k g_k = k source_k +
+    sum_{j=1..k} ((p + b) j - b k) s_j g_(k-j)``, one pass over ``s`` per
+    coefficient.  ``b = q`` is J.C.P. Miller's recurrence for
+    ``(1 + s)^(p/q)``; ``p, b = 1, 0`` gives ``e^s``, and ``p, b = 0, 1``
+    with ``head = 0`` and ``source = s`` gives ``log(1 + s)``.
     """
-    r = rational(r)
-    p, q = r.numerator, r.denominator
-    g = [ONE]
+    src = {j: j * c for j, c in source}
+    g = [head]
     for k in range(1, depth):
-        acc = ZERO
+        acc = src.get(k, ZERO)
         for j, sj in s:
             if j > k:
                 break
             gj = g[k - j]
             if gj:
-                acc += ((p + q) * j - k * q) * sj * gj
+                acc += ((p + b) * j - b * k) * sj * gj
         g.append(acc / (k * q))
     return g
 

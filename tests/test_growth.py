@@ -1,0 +1,40 @@
+"""scripts/growth.py: cold-process timings and the log-log growth fit."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "growth.py"
+
+
+def load_growth():
+    spec = importlib.util.spec_from_file_location("growth", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fit_recovers_a_power_law():
+    growth = load_growth()
+    orders = [10, 20, 40, 80]
+    assert growth.growth_exponent(orders, [3e-6 * n**2.5 for n in orders]) == pytest.approx(2.5)
+    assert growth.growth_exponent([10], [1.0]) is None
+
+
+@pytest.mark.parametrize("op", ["exp", "log", "coth", "revert", "compose", "flow_solve"])
+def test_times_each_order_in_a_fresh_interpreter(op):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), op, "--orders", "8", "4", "--runs", "1"],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["op"] == op
+    assert out["orders"] == [4, 8]
+    assert len(out["median_s"]) == 2 and all(t > 0 for t in out["median_s"])
+    assert isinstance(out["growth_exp"], float)

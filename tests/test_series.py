@@ -12,6 +12,7 @@ from branchflow.series import (
     GradedSeries,
     LeadingTermError,
     PoleError,
+    SeriesError,
     SubstitutionError,
     TruncationError,
     cosh,
@@ -496,3 +497,73 @@ def test_revert_window_is_honest(data):
     d = data.draw(directions)
     x, x_cut = data.draw(cut_series(d, 1, unit=d == DESCENDING))
     assert_window_agrees(x_cut.revert(), x.revert())
+
+
+# --- exp and log against their power sums ------------------------------------------
+
+
+def power_sum_exp(s):
+    """``sum_n s^n / n!``, one series product per term, from ``+`` and ``*`` only."""
+    if not s.coeffs:
+        return s if s.wprec is not None and s.wprec <= 0 else s + 1
+    if s.wlead < 1:
+        raise LeadingTermError("constant term")
+    if s.prec is None:
+        raise TruncationError("exact input")
+    total, term = s + 1, s
+    for n in range(2, s.wprec):
+        term = term * s * rational(1, n)
+        total = total + term
+    return total
+
+
+def power_sum_log(x):
+    """``sum_k (-1)^(k+1) s^k / k`` for ``x = 1 + s``, from ``+`` and ``*`` only."""
+    if x.coeffs.get(0) != 1 or x.wlead != 0:
+        raise LeadingTermError("leading term is not 1")
+    s = x + -1
+    if s.is_zero():
+        return s
+    if x.prec is None:
+        raise TruncationError("exact input")
+    total, power = s, s
+    for k in range(2, x.wprec):
+        power = power * s
+        total = total + power * rational((-1) ** (k + 1), k)
+    return total
+
+
+@st.composite
+def exp_log_arguments(draw):
+    """Sparse ``head + s``: ``s`` leads at w = 1..4, window w < 0..25 or exact.
+
+    ``head`` is nothing (exp's shape), ``1`` (log's shape), a constant other
+    than 1, or 1 behind a term at w = -1; every term outside the window is
+    dropped.
+    """
+    d = draw(directions)
+    sign = 1 if d == ASCENDING else -1
+    wp = draw(st.integers(0, 25)) if draw(st.integers(0, 7)) else None
+    wl = draw(st.integers(1, 4))
+    nonzero = small_rationals.filter(lambda c: c != 0)
+    tail = draw(st.dictionaries(st.integers(wl + 1, 24), nonzero, max_size=6))
+    valid = [{}, {0: ONE}]  # drawn twice as often as each refused head
+    head = draw(st.sampled_from(valid * 2 + [{0: rational(2)}, {0: -ONE}, {-1: ONE, 0: ONE}]))
+    terms = {**head, wl: draw(nonzero), **tail}
+    if wp is not None:
+        terms = {w: c for w, c in terms.items() if w < wp}
+    return GradedSeries(d, {sign * w: c for w, c in terms.items()}, None if wp is None else sign * wp)
+
+
+def outcome(fn, x):
+    try:
+        return fn(x)
+    except SeriesError as exc:
+        return type(exc)
+
+
+@given(exp_log_arguments())
+@settings(max_examples=200)
+def test_exp_log_match_power_sums(x):
+    assert outcome(GradedSeries.exp, x) == outcome(power_sum_exp, x)
+    assert outcome(GradedSeries.log, x) == outcome(power_sum_log, x)

@@ -58,6 +58,12 @@ OPS = {
         "from branchflow import flow_solve, series_f\nx = series_f(n)",
         "flow_solve(x)",
     ),
+    "flow_apply": (
+        "flow_apply(flow_solve(series_f(n)), z)",
+        "from branchflow import DESCENDING, GradedSeries, flow_apply, flow_solve, series_f\n"
+        "x, z = flow_solve(series_f(n)), GradedSeries.identity(DESCENDING)",
+        "flow_apply(x, z)",
+    ),
 }
 
 CHILD = """\

@@ -1,7 +1,7 @@
 """Named series, derivation flows, and the flow-based verifiers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branchflow import flows
@@ -284,13 +284,29 @@ def test_solve_is_triangular():
     assert fc.values[2] != base.values[2]
 
 
+def _flow_by_products(generator, target):
+    """exp(D) target as a sum of whole series products, an oracle independent
+    of the engine: T_j = (G T_{j-1}') / j by series ``*``, ``derivative`` and
+    ``/``, summed by ``+``, each term clamped to the running window."""
+    acc = term = target
+    n = 1
+    while not term.is_zero():
+        term = (generator * term.derivative()) / n
+        acc = acc + term
+        if term.wprec is None or term.wprec > acc.wprec:
+            term = term.truncate(acc.prec)
+        n += 1
+    return acc
+
+
 def _solve_by_reapplying(target, count, law, sign):
-    """g_k read off flow_apply of the generator g_1 .. g_{k-1} (g_k set to 0)."""
+    """g_k read off the flow of the generator g_1 .. g_{k-1} (g_k set to 0)."""
     p = FlowCoeffs((), law).exponent
     vals = []
     for k in range(1, count + 1):
         z = GradedSeries.identity(DESCENDING, prec=p(k) - 1)
-        known = flow_apply(FlowCoeffs(tuple(vals) + (ZERO,), law, sign), z)
+        generator = FlowCoeffs(tuple(vals) + (ZERO,), law, sign).generator()
+        known = _flow_by_products(generator, z)
         vals.append(sign * (target.coefficient(p(k)) - known.coefficient(p(k))))
     return tuple(vals)
 
@@ -328,6 +344,43 @@ def test_flow_solve_matches_per_coefficient_reapplication(problem):
     fc = flow_solve(target, count=count, law=law, sign=sign)
     assert fc.values == _solve_by_reapplying(target, solved, law, sign)
     assert (fc.law, fc.sign) == (law, sign)
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def flow_images(draw):
+    """A generator (zero runs and g_1 = 0 included) and a target leading at
+    z^2 .. z^-3, exact or truncated; exact constants are left out."""
+    law = draw(st.sampled_from([LAW_STANDARD, LAW_EVEN, _law_by_threes]))
+    values = draw(st.lists(small_rationals | st.just(0), max_size=6))
+    coeffs = FlowCoeffs(tuple(values), law, draw(st.sampled_from([1, -1])))
+    lead = draw(st.integers(min_value=-3, max_value=2))
+    head = draw(small_rationals.filter(bool))
+    tail = draw(st.lists(small_rationals | st.just(0), max_size=7))
+    last = lead - len(tail)
+    prec = draw(st.none() | st.integers(min_value=last - 3, max_value=last - 1))
+    target = GradedSeries(
+        DESCENDING, {lead - i: c for i, c in enumerate([head, *tail])}, prec=prec
+    )
+    assume(not (prec is None and target.lead == 0 and len(target.coeffs) == 1))
+    return coeffs, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_images())
+def test_flow_apply_matches_series_products(problem):
+    coeffs, target = problem
+    # == compares the window too
+    assert flow_apply(coeffs, target) == _flow_by_products(coeffs.generator(), target)
+
+
+def test_flow_of_exact_constant_is_that_constant():
+    cases = [(1, FlowCoeffs((1, 2))), (rational(-3, 7), FlowCoeffs((0, 5), LAW_EVEN, -1))]
+    for value, coeffs in cases:
+        constant = GradedSeries(DESCENDING, {0: value})
+        assert flow_apply(coeffs, constant) == constant
 
 
 def test_flow_solve_refusals_in_order():

@@ -25,7 +25,9 @@ def test_fit_recovers_a_power_law():
     assert growth.growth_exponent([10], [1.0]) is None
 
 
-@pytest.mark.parametrize("op", ["exp", "log", "coth", "revert", "compose", "flow_solve"])
+@pytest.mark.parametrize(
+    "op", ["exp", "log", "coth", "revert", "compose", "flow_solve", "flow_apply"]
+)
 def test_times_each_order_in_a_fresh_interpreter(op):
     done = subprocess.run(
         [sys.executable, str(SCRIPT), op, "--orders", "8", "4", "--runs", "1"],

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Time one series operation at several orders and fit how its cost grows.
+"""Time one series or operator operation at several sizes and fit how its cost grows.
 
     python3 scripts/growth.py exp --orders 40 80 120 200
     python3 scripts/growth.py coth --orders 40 80 --runs 1 --src ../other/src
+    python3 scripts/growth.py vir_scan --orders 6 9 12 15
 
 Each (order, run) is a fresh interpreter that builds the operation's input
 and times only the operation itself with ``time.perf_counter``.  The last
 stdout line is one JSON object: the median time per order and the exponent
-of the least-squares line through (log order, log time).  ``--src`` points
-at the ``src`` directory of another checkout, so one harness times both
-sides of a change.  Stdlib only.
+of the least-squares line through (log order, log time).  For the operator
+ops (``vir_scan``, ``factorization``) the order is the weight bound of the
+q-polynomial corpus.  ``--src`` points at the ``src`` directory of another
+checkout, so one harness times both sides of a change.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# name -> (what is timed, input setup, timed statement); ``n`` is the order
+# name -> (what is timed, input setup, timed statement); ``n`` is the order,
+# or for the operator ops the corpus weight bound
 OPS = {
     "exp": (
         "exp(-mu), mu = series_mu(n), the dense c-family series",
@@ -63,6 +66,17 @@ OPS = {
         "from branchflow import DESCENDING, GradedSeries, flow_apply, flow_solve, series_f\n"
         "x, z = flow_solve(series_f(n)), GradedSeries.identity(DESCENDING)",
         "flow_apply(x, z)",
+    ),
+    "vir_scan": (
+        "check_virasoro_commutator(3, -2, corpus_monomials(n))",
+        "from branchflow import check_virasoro_commutator, corpus_monomials\n"
+        "x = corpus_monomials(n)",
+        "check_virasoro_commutator(3, -2, x)",
+    ),
+    "factorization": (
+        "verify_factorization(n), l and b built inside",
+        "from branchflow import verify_factorization",
+        "verify_factorization(n)",
     ),
 }
 

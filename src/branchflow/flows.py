@@ -72,9 +72,9 @@ class FlowCoeffs:
         """sign * sum g_k z^{p(k)} as a series whose prec marks the untracked tail."""
         p = _law_fn(self.law)
         exps = [p(k) for k in range(1, len(self.values) + 2)]
+        if exps[0] > 0:
+            raise SeriesError("exponent law must not raise the order")
         for here, nxt in zip(exps, exps[1:]):
-            if here > 0:
-                raise SeriesError("exponent law must not raise the order")
             if nxt >= here:
                 raise SeriesError("exponent law must be strictly decreasing")
         coeffs = {p(k): self.sign * rational(g) for k, g in enumerate(self.values, start=1)}

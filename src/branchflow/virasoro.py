@@ -4,19 +4,24 @@ L_m = sum_{k>0, k+m>0} (k+m) q_k d/dq_{k+m}
       + (1/2) sum_{a+b=m, a,b>0} ab d^2/dq_a dq_b
       + (1/2) sum_{i+j=-m, i,j>0} q_i q_j
 
-An operator is its image of one monomial, read off the three sums, so every
-result is exact; operators and QPoly arithmetic sum terms through one
-accumulator.  Weight (the sum of q-indices of a monomial) is the grading: L_m
-sends weight w to weight w - m.
+A QPoly is Python-int numerators over one positive denominator, canonical (no
+zero numerator, gcd(den, numerators) = 1), and each operation normalises its
+result once.  An operator is its image of one monomial, read off the sums as
+integer weights over a denominator fixed per operator: 2 for L_m, 1 for alpha_n
+and d_j, and in exp_op_apply the lcm of the c_i op_i denominators.  So no
+Rational is built per product; ``QPoly.terms`` builds them when read.  Weight
+(the sum of q-indices of a monomial) is the grading: L_m lowers it by m.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
-from itertools import chain
+from math import gcd, lcm
 
 from .exact import ONE, Rational, ZERO, rational
 from .report import VerificationReport, failed, passed, skipped, start_clock
@@ -37,47 +42,73 @@ def _d(key: tuple, j: int) -> tuple:
     return ((key[:i] + key[i + 1:], mult),)
 
 
-def _collect(pairs) -> "QPoly":
-    """Sums (canonical key, coefficient) pairs; keys whose sum is zero are dropped."""
+def _canon(out: dict, den: int) -> "QPoly":
+    """The canonical QPoly of the numerators ``out`` over ``den`` > 0."""
+    try:
+        g = reduce(gcd, out.values(), den)  # a zero numerator leaves the gcd as it is
+    except TypeError:  # a hand-built image with Rational weights: lift them to ints
+        lift = reduce(lcm, (v.denominator for v in out.values()), 1)
+        out, den = {k: int(v * lift) for k, v in out.items()}, den * lift
+        g = reduce(gcd, out.values(), den)
+    return QPoly._of({k: v // g for k, v in out.items() if v}, den // g)
+
+
+def _combine(pairs) -> "QPoly":
+    """sum c p over (rational c, QPoly p) pairs, over the lcm of the c p denominators."""
+    den = reduce(lcm, (c.denominator * p._den for c, p in pairs), 1)
     out: dict = {}
-    for key, coeff in pairs:
-        total = out[key] + coeff if key in out else coeff
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-    return QPoly._of(out)
+    get = out.get
+    for c, p in pairs:
+        f = c.numerator * (den // (c.denominator * p._den))
+        for key, num in p._num.items():
+            out[key] = get(key, 0) + f * num
+    return _canon(out, den)
+
+
+class _Terms(Mapping):
+    """Read-only {monomial: Rational} view of a QPoly; len and keys read the numerators."""
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, key):
+        return Rational(self._num[key], self._den)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
 
 
 class QPoly:
-    """Polynomial in the q-variables with exact rational coefficients."""
+    """Polynomial in the q-variables: integer numerators over one denominator."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
         pairs = []
         for key, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            if any(i < 1 for i in key):
+            if coeff != 0 and any(i < 1 for i in key):
                 raise ValueError(f"q-indices must be positive, got {key}")
-            pairs.append((_key(key), coeff))
-        # keys that canonicalise to one monomial are summed
-        object.__setattr__(self, "terms", _collect(pairs).terms)
+            pairs.append((Rational(coeff), QPoly._of({_key(key): 1}, 1)))
+        p = _combine(pairs)  # keys that canonicalise to one monomial are summed
+        self._num, self._den = p._num, p._den
 
     @classmethod
-    def _of(cls, terms: dict) -> "QPoly":
-        """Wraps terms that are already canonical: sorted keys, no zero coefficient."""
+    def _of(cls, num: dict, den: int) -> "QPoly":
+        """Wraps numerators over a denominator that are already canonical."""
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        p._num, p._den = num, den
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self._num, self._den)
 
     @classmethod
     def one(cls) -> "QPoly":
-        return cls({(): ONE})
+        return cls._of({(): 1}, 1)
 
     @classmethod
     def monomial(cls, indices, coeff=ONE) -> "QPoly":
@@ -88,36 +119,38 @@ class QPoly:
         return cls.monomial((k,))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, indices):
-        return self.terms.get(_key(indices), ZERO)
+        num = self._num.get(_key(indices))
+        return ZERO if num is None else Rational(num, self._den)
 
     def max_weight(self) -> int:
-        return max((sum(key) for key in self.terms), default=0)
+        return max((sum(key) for key in self._num), default=0)
 
     def items(self):
         """Terms in canonical (weight, monomial) order."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        return _collect(chain(self.terms.items(), other.terms.items()))
+        return _combine(((1, self), (1, other)))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + other.scale(-1)
+        return _combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "QPoly":
         return self.scale(-1)
 
     def scale(self, value) -> "QPoly":
-        return _collect((key, coeff * value) for key, coeff in self.terms.items())
+        return _combine(((value, self),))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        return _collect(
-            (_key(ka + kb), ca * cb)
-            for ka, ca in self.terms.items()
-            for kb, cb in other.terms.items()
-        )
+        out: dict = {}
+        for ka, ca in self._num.items():
+            for kb, cb in other._num.items():
+                key = _key(ka + kb)
+                out[key] = out.get(key, 0) + ca * cb
+        return _canon(out, self._den * other._den)
 
     def mul_var(self, k: int) -> "QPoly":
         if k < 1:
@@ -129,17 +162,17 @@ class QPoly:
 
     def weight_parts(self) -> dict:
         parts: dict = {}
-        for key, coeff in self.terms.items():
-            parts.setdefault(sum(key), []).append((key, coeff))
-        return {w: _collect(t) for w, t in sorted(parts.items())}
+        for key, num in self._num.items():
+            parts.setdefault(sum(key), {})[key] = num
+        return {w: _canon(part, self._den) for w, part in sorted(parts.items())}
 
     def __eq__(self, other):
-        return isinstance(other, QPoly) and self.terms == other.terms
+        return isinstance(other, QPoly) and self._den == other._den and self._num == other._num
 
     __hash__ = None
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "QPoly(0)"
         bits = []
         for key, coeff in self.items():
@@ -150,43 +183,40 @@ class QPoly:
 
 @dataclass(frozen=True)
 class LinearOp:
-    """Exact linear operator: ``image(key)`` lists the (monomial, weight) terms of
-    its image of the monomial ``key``; delta is its uniform weight shift, if any."""
+    """Exact linear operator: ``image(key)`` lists the (monomial, integer weight)
+    terms of its image of the monomial ``key``, weights over ``den``; delta is
+    its uniform weight shift, if any."""
 
     name: str
     delta: int | None
     image: object
+    den: int = 1
 
     def __call__(self, p: QPoly) -> QPoly:
-        return _collect(
-            (ikey, weight * coeff)
-            for key, coeff in p.terms.items()
-            for ikey, weight in self.image(key)
-        )
+        out: dict = {}
+        get = out.get
+        for key, num in p._num.items():
+            for ikey, weight in self.image(key):
+                out[ikey] = get(ikey, 0) + weight * num
+        return _canon(out, p._den * self.den)
 
 
 def make_L(m: int) -> LinearOp:
-    """The Virasoro operator L_m, read off its three sums monomial by monomial."""
-    pairs = [(a, Rational(a * (m - a), 2)) for a in range(1, m)]
-    products = [((i, -m - i), Rational(1, 2)) for i in range(1, -m)]
+    """The Virasoro operator L_m over the denominator 2, read off its three sums."""
+    products = [(i, -m - i) for i in range(1, -m)]
 
     def image(key):
-        out = [  # (k + m) q_k d/dq_{k+m}, with j = k + m
-            (_key(reduced + (j - m,)), j * mult)
-            for j in dict.fromkeys(key)
-            if j > m
-            for reduced, mult in _d(key, j)
-        ]
-        out.extend(  # (ab/2) d_a d_b over ordered a + b = m
-            (kb, c * ma * mb)
-            for a, c in pairs
-            for ka, ma in _d(key, a)
-            for kb, mb in _d(ka, m - a)
-        )
-        out.extend((_key(key + ij), c) for ij, c in products)  # (1/2) q_i q_j
+        out = []
+        for j in dict.fromkeys(key):
+            for reduced, mult in _d(key, j):
+                if j > m:  # 2 (k + m) q_k d/dq_{k+m}, with j = k + m
+                    out.append((_key(reduced + (j - m,)), 2 * j * mult))
+                elif j < m:  # ab d_a d_b over ordered a + b = m, with a = j
+                    out.extend((kb, j * (m - j) * mult * mb) for kb, mb in _d(reduced, m - j))
+        out.extend((_key(key + ij), 1) for ij in products)  # q_i q_j
         return out
 
-    return LinearOp(f"L[{m}]", -m, image)
+    return LinearOp(f"L[{m}]", -m, image, 2)
 
 
 def make_alpha(n: int) -> LinearOp:
@@ -194,7 +224,7 @@ def make_alpha(n: int) -> LinearOp:
     if n == 0:
         raise ValueError("alpha_0 is the zero operator; it has no basic form")
     if n < 0:
-        return LinearOp(f"alpha[{n}]", -n, lambda key: ((_key(key + (-n,)), ONE),))
+        return LinearOp(f"alpha[{n}]", -n, lambda key: ((_key(key + (-n,)), 1),))
     return LinearOp(f"alpha[{n}]", -n, lambda key: [(k, n * w) for k, w in _d(key, n)])
 
 
@@ -210,11 +240,14 @@ def _compare_qpoly(identity, order, sides, t0):
     """PASS if lhs == rhs for every (lhs, rhs) of ``sides``, else FAIL at the
     first differing term of the first differing pair."""
     for lhs, rhs in sides:
-        keys = sorted(set(lhs.terms) | set(rhs.terms), key=lambda k: (sum(k), k))
-        for key in keys:
-            cl, cr = lhs.terms.get(key, ZERO), rhs.terms.get(key, ZERO)
-            if cl != cr:
-                return failed(identity, order, t0, sum(key), str(cl), str(cr))
+        if lhs == rhs:  # canonical forms: equal values, equal representations
+            continue
+        (nl, dl), (nr, dr) = (lhs._num, lhs._den), (rhs._num, rhs._den)
+        for key in sorted(nl.keys() | nr.keys(), key=lambda k: (sum(k), k)):
+            cl, cr = nl.get(key, 0), nr.get(key, 0)
+            if cl * dr != cr * dl:
+                left, right = str(Rational(cl, dl)), str(Rational(cr, dr))
+                return failed(identity, order, t0, sum(key), left, right)
     return passed(identity, order, t0)
 
 
@@ -269,7 +302,7 @@ def check_virasoro_commutator(m: int, n: int, corpus, order=None) -> Verificatio
     Lm, Ln, Lmn = make_L(m), make_L(n), make_L(m + n)
     central = Rational(m ** 3 - m, 12) if m + n == 0 else ZERO
     sides = (
-        (commutator(Lm, Ln, p), Lmn(p).scale(m - n) + p.scale(central)) for p in corpus
+        (commutator(Lm, Ln, p), _combine(((m - n, Lmn(p)), (central, p)))) for p in corpus
     )
     return _compare_qpoly("virasoro-commutators", order, sides, t0)
 
@@ -282,7 +315,7 @@ def check_heisenberg_commutator(n: int, k: int, corpus, order=None) -> Verificat
         return skipped("heisenberg-commutators", order, t0)
     an, Lk, ank = make_alpha(n), make_L(k), make_alpha(n + k)
     inv = Rational(1, n)
-    sides = ((commutator(an, Lk, p).scale(inv), ank(p)) for p in corpus)
+    sides = ((_combine(((inv, an(Lk(p))), (-inv, Lk(an(p))))), ank(p)) for p in corpus)
     return _compare_qpoly("heisenberg-commutators", order, sides, t0)
 
 
@@ -306,19 +339,23 @@ def check_grading(m: int, corpus, order=None) -> VerificationReport:
 def exp_op_apply(ops, p: QPoly) -> QPoly:
     """exp(sum c_i op_i) p for weight-lowering op_i; the sum terminates exactly."""
     for _, op in ops:
+        if op.delta is None:
+            raise ValueError(f"{op.name} has no uniform weight shift; exponential undefined")
         if op.delta >= 0:
             raise ValueError(f"{op.name} does not lower weight; exponential diverges")
-    # sum c_i op_i is one operator: the weighted union of the monomial images
-    total = LinearOp(
-        "+".join(op.name for _, op in ops),
-        None,
-        lambda key: [(ikey, c * w) for c, op in ops for ikey, w in op.image(key)],
-    )
-    acc = p
-    term = p
+    # sum c_i op_i is one operator: the weighted union of the monomial images,
+    # with integer weights over the lcm of the c_i op_i denominators
+    den = reduce(lcm, (c.denominator * op.den for c, op in ops), 1)
+    scaled = [(c.numerator * (den // (c.denominator * op.den)), op) for c, op in ops]
+    name = "+".join(op.name for _, op in ops)
+
+    def image(key):
+        return [(ikey, f * w) for f, op in scaled for ikey, w in op.image(key)]
+
+    acc = term = p
     n = 1
     while not term.is_zero():
-        term = total(term).scale(Rational(1, n))
+        term = LinearOp(name, None, image, den * n)(term)  # the 1/n rides on den
         acc = acc + term
         n += 1
     return acc
@@ -344,10 +381,10 @@ def factorization_sides(weight_bound: int, l_values=None, b_values=None):
         L = make_L(2 * m)
         shift = 2 * m + 3
 
-        def image(key):
-            return L.image(key) + [(k, -shift * w) for k, w in _d(key, shift)]
+        def image(key):  # over L's denominator 2
+            return L.image(key) + [(k, -2 * shift * w) for k, w in _d(key, shift)]
 
-        return LinearOp(f"L[{2*m}]-{shift}d[{shift}]", -2 * m, image)
+        return LinearOp(f"L[{2*m}]-{shift}d[{shift}]", -2 * m, image, L.den)
 
     lhs_ops = [(l_values[m - 1], combined(m)) for m in range(1, m_max + 1)]
     l_ops = [(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)]
@@ -403,11 +440,10 @@ def kw_residual(F: QPoly, m: int) -> QPoly:
     plus the bilinear terms (ab/2) d_a F d_b F, minus (2m+3) d_{2m+3} F.
     """
     two_m = 2 * m
-    out = make_L(two_m)(F)
-    for a in range(1, two_m):
-        b = two_m - a
-        out = out + (F.derivative(a) * F.derivative(b)).scale(Rational(a * b, 2))
-    return out - F.derivative(two_m + 3).scale(two_m + 3)
+    dF = {a: F.derivative(a) for a in range(1, two_m)}
+    bilinear = [(Rational(a * (two_m - a), 2), dF[a] * dF[two_m - a]) for a in dF]
+    shift = (-(two_m + 3), F.derivative(two_m + 3))
+    return _combine([(1, make_L(two_m)(F)), *bilinear, shift])
 
 
 def verify_kw_constraints(

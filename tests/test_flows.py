@@ -225,6 +225,14 @@ def test_generator_rejects_order_raising_law():
         fc.generator()
 
 
+@pytest.mark.parametrize("values", [(), (ONE,)], ids=["no-values", "one-value"])
+def test_generator_rejects_order_raising_first_exponent(values):
+    # the first exponent is p(1) with or without values: with none it is the prec
+    fc = FlowCoeffs(values, law=lambda k: 2 - k)
+    with pytest.raises(SeriesError, match="exponent law must not raise the order"):
+        fc.generator()
+
+
 def test_generator_rejects_non_decreasing_law():
     fc = FlowCoeffs((ONE, ONE), law=lambda k: 0)
     with pytest.raises(SeriesError):
@@ -247,7 +255,7 @@ def test_flow_apply_requires_descending_target():
         flow_apply(fc, GradedSeries.identity(ASCENDING, prec=5))
 
 
-def test_flow_of_exact_target_needs_truncated_generator():
+def test_flow_solve_of_exact_target_needs_count():
     z = GradedSeries.identity(DESCENDING)  # exact
     with pytest.raises(TruncationError):
         flow_solve(z)

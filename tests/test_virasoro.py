@@ -3,8 +3,11 @@ factorization identity, and the string-type constraints on the shipped
 free-energy fixture."""
 
 import json
+import math
+import numbers
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,7 @@ from branchflow import (
     verify_kw_constraints,
 )
 from branchflow import virasoro
+from branchflow.branches import coeffs_b
 from branchflow.exact import rational
 from branchflow.virasoro import factorization_sides
 
@@ -228,6 +232,37 @@ def test_operators_match_defining_sums_and_stay_canonical(p, q, c):
     assert all(is_canonical(r) for r in results)
 
 
+@given(qpolys, qpolys, small_rationals)
+@settings(max_examples=40)
+def test_results_are_int_numerators_in_lowest_terms(p, q, c):
+    # the representation itself: a positive denominator, no zero numerator and
+    # gcd(denominator, numerators) = 1, so == on values is == on representations
+    results = [p + q, p - q, p * q, -p, p.scale(c), p.scale(0), *p.weight_parts().values()]
+    results += [make_L(m)(p) for m in (-3, 0, 2)] + [p.derivative(2), p.mul_var(3)]
+    results.append(exp_op_apply([(c, make_L(1)), (R(1, 3), make_d(2))], p))
+    for r in results:
+        nums = list(r._num.values())
+        assert r._den > 0 and all(isinstance(v, numbers.Integral) and v for v in nums)
+        assert math.gcd(r._den, *nums) == 1
+        assert r == QPoly(dict(r.terms))
+
+
+def test_terms_view_reads_rationals_and_stays_read_only():
+    p = QPoly({(1, 3): R(2, 3), (2,): R(-1, 6)})
+    assert len(p.terms) == 2 and (1, 3) in p.terms and (3, 1) not in p.terms
+    assert p.terms[(2,)] == R(-1, 6) and p.terms.get((5,)) is None
+    assert dict(p.terms) == {(1, 3): R(2, 3), (2,): R(-1, 6)}
+    with pytest.raises(TypeError):
+        p.terms[(2,)] = R(1)
+
+
+def test_hand_built_operator_with_rational_weights():
+    # weights that are not integers over the operator's denominator still apply exactly
+    half_d1 = LinearOp("d[1]/2", -1, lambda key: [(k, R(1, 2) * w) for k, w in ref_d(key, 1)])
+    assert half_d1(Q1 * Q1 * Q3) == (Q1 * Q3)
+    assert half_d1(Q1) == ONE.scale(R(1, 2))
+
+
 # --- commutator scans -------------------------------------------------------
 
 
@@ -267,6 +302,25 @@ def test_grading_reports_canonical_first_term(monkeypatch):
     assert report.first_mismatch.rhs == "0"
 
 
+def test_virasoro_commutator_reports_a_missing_central_term(monkeypatch):
+    # L_{-2} without its (1/2) q_1^2 sum: [L_2, L_{-2}] 1 loses the central 1/2
+    make_L_ = virasoro.make_L
+
+    def wrong(m):
+        L = make_L_(m)
+        if m != -2:
+            return L
+        return replace(L, image=lambda key: [t for t in L.image(key) if len(t[0]) <= len(key)])
+
+    monkeypatch.setattr(virasoro, "make_L", wrong)
+    report = check_virasoro_commutator(2, -2, corpus_monomials(6))
+    assert report.status == FAIL
+    assert report.order == 6
+    assert report.first_mismatch.exponent == 0
+    assert report.first_mismatch.lhs == "0"
+    assert report.first_mismatch.rhs == "1/2"
+
+
 def test_jacobi_identity():
     def bracket(A, B):
         return lambda p: A(B(p)) - B(A(p))
@@ -292,6 +346,13 @@ def test_exp_rejects_non_lowering_operator():
         exp_op_apply([(R(1), make_L(0))], Q1)
     with pytest.raises(ValueError):
         exp_op_apply([(R(1), make_alpha(-2))], Q1)
+
+
+def test_exp_rejects_operator_without_uniform_shift():
+    lower, raise_ = make_L(-1), make_L(1)
+    mixed = LinearOp("L[-1]+L[1]", None, lambda key: lower.image(key) + raise_.image(key), 2)
+    with pytest.raises(ValueError, match="no uniform weight shift"):
+        exp_op_apply([(R(1), mixed)], Q1)
 
 
 def test_exp_of_empty_sum_is_identity():
@@ -347,6 +408,18 @@ def test_factorization_detects_wrong_l1():
         9, l_values=(R(1, 179), R(-1, 22680), R(-29, 12247200), R(1, 12028500))
     )
     assert lhs_bad(Q3) != rhs(Q3)
+
+
+def test_factorization_reports_a_perturbed_b3():
+    b_values = list(coeffs_b(7).values)
+    assert b_values[2] == R(1, 36)
+    b_values[2] += R(1, 7)  # b_3 = 43/252 in the shift exp(-b_3 d_5)
+    report = verify_factorization(9, b_values=b_values)
+    assert report.status == FAIL
+    assert report.order == 9
+    assert report.first_mismatch.exponent == 0
+    assert report.first_mismatch.lhs == "-1/36"
+    assert report.first_mismatch.rhs == "-43/252"
 
 
 # --- the fixture ---------------------------------------------------------------
@@ -435,6 +508,23 @@ def test_kw_constraints_detect_perturbed_coefficient():
     assert report.status == FAIL
     assert report.first_mismatch.exponent == 1
     assert report.first_mismatch.lhs == "1/184"
+    assert report.first_mismatch.rhs == "0"
+
+
+@pytest.mark.parametrize("m, order, exponent, lhs", [(1, 13, 1, "-5/56"), (2, 11, 2, "5/56")])
+def test_kw_constraints_report_a_perturbed_fixture_file(tmp_path, m, order, exponent, lhs):
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "src" / "branchflow" / "data" / "fk_fixture.json").read_text())
+    (rec,) = [rec for rec in doc["terms"] if rec["monomial"] == [1, 5]]
+    assert rec["coefficient"] == "1/8"
+    rec["coefficient"] = "1/7"
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    report = verify_kw_constraints(m, fixture_path=path)
+    assert report.status == FAIL
+    assert report.order == order
+    assert report.first_mismatch.exponent == exponent
+    assert report.first_mismatch.lhs == lhs
     assert report.first_mismatch.rhs == "0"
 
 

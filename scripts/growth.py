@@ -30,6 +30,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # name -> (what is timed, input setup, timed statement); ``n`` is the order,
 # or for the operator ops the corpus weight bound
 OPS = {
+    "mul": (
+        "mu * mu, mu = series_mu(n), the dense c-family series",
+        "from branchflow import series_mu\nx = series_mu(n)",
+        "x * x",
+    ),
+    "reciprocal": (
+        "1/(1 + mu), mu = series_mu(n)",
+        "from branchflow import series_mu\nx = 1 + series_mu(n)",
+        "x.reciprocal()",
+    ),
     "exp": (
         "exp(-mu), mu = series_mu(n), the dense c-family series",
         "from branchflow import series_mu\nx = -series_mu(n)",

@@ -9,10 +9,9 @@ recurrences never certify themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .exact import ONE, Rational, double_factorial, factorial
+from .exact import ONE, Rational, Row, double_factorial, factorial
 from .report import compare_series, start_clock
 from .series import ASCENDING, GradedSeries, cosh, coth, csch
 
@@ -37,43 +36,41 @@ class _Recurrence:
     """t_1, t_2, ... of ``(n+1) t_n = rest(n) - sum_{k=2}^{n-1} k t_k t_{n+1-k}``.
 
     Besides the Rationals ``values``, the table keeps integer numerators
-    ``nums`` over one common denominator ``den``, so each step sums its
-    convolution in Python ints (the terms ``k`` and ``n+1-k`` pair to
-    ``(n+1) N_k N_{n+1-k}``) and reduces one Rational.  ``rest(nums, den)`` is
-    the numerator of ``rest(n)`` over ``den^2``.
+    ``nums`` over one common denominator ``den`` (a :class:`Row` keyed 0, 1,
+    ...), so each step sums its convolution in Python ints (the terms ``k`` and
+    ``n+1-k`` pair to ``(n+1) N_k N_{n+1-k}``) and reduces one Rational.
+    ``rest(nums, den)`` is the numerator of ``rest(n)`` over ``den^2``.
     """
 
     def __init__(self, t2, rest):
         self.values = [ONE, t2]
-        self.den = t2.denominator
-        self.nums = [self.den, t2.numerator]
+        self.row = Row(dict(enumerate(self.values)))
         self.rest = rest
 
+    nums = property(lambda self: list(self.row.nums.values()))
+    den = property(lambda self: self.row.den)
+
     def __call__(self, order: int) -> tuple:
-        vals, nums = self.values, self.nums
+        vals, row = self.values, self.row
         while len(vals) < order:
             n = len(vals) + 1
-            d = self.den
+            nums, d = row.nums, row.den
             conv = (n + 1) * sum(nums[k - 1] * nums[n - k] for k in range(2, n // 2 + 1))
             if n % 2:
                 m = (n + 1) // 2
                 conv += m * nums[m - 1] ** 2
             value = Rational(self.rest(nums, d) - conv, d * d * (n + 1))
-            q = value.denominator
-            if d % q:
-                self.den = math.lcm(d, q)
-                scale, d = self.den // d, self.den
-                for i in range(len(nums)):
-                    nums[i] *= scale
-            nums.append(value.numerator * (d // q))
+            row.put(n - 1, value)
             vals.append(value)
         return tuple(vals[:order])
 
 
 # b_1 = 1, b_2 = 1/3; rest(n) = b_{n-1}
-_b_table = _Recurrence(Rational(1, 3), lambda nums, d: nums[-1] * d)
+_b_table = _Recurrence(Rational(1, 3), lambda nums, d: nums[len(nums) - 1] * d)
 # c_1 = 1, c_2 = 2/3; rest(n) = 2 + sum_{j=2}^{n-1} c_j
-_c_table = _Recurrence(Rational(2, 3), lambda nums, d: 2 * d * d + sum(nums[1:]) * d)
+_c_table = _Recurrence(
+    Rational(2, 3), lambda nums, d: 2 * d * d + (sum(nums.values()) - nums[0]) * d
+)
 
 
 def coeffs_b(order: int) -> BranchCoeffs:

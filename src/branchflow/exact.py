@@ -1,10 +1,10 @@
 """Exact rational arithmetic plus shared integer tables.
 
 Everything downstream assumes coefficients form an exact field: no floats
-anywhere in the computational path.  ``Rational`` is gmpy2's mpq when that
-extension is installed (noticeably faster on deep series products) and the
-stdlib Fraction otherwise; the two are interchangeable members of
-``numbers.Rational`` with identical string rendering.
+anywhere in the computational path.  ``Rational`` is the stdlib Fraction.
+The hot loops do not build one per term: :class:`Row` keeps a row of them as
+Python-int numerators over one denominator (FLINT's ``fmpq_poly`` layout), so
+a sum of products runs in ints and builds one Rational for its result.
 """
 
 from __future__ import annotations
@@ -12,13 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rational
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rational = Fraction
-    BACKEND = "fractions"
+Rational = Fraction
+BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -28,14 +23,34 @@ def rational(value, denominator=None):
     """Coerce ints, strings like ``-7/3``, Fractions, or Rationals."""
     if denominator is not None:
         return Rational(value) / Rational(denominator)
-    if isinstance(value, str):
-        return Rational(Fraction(value))
     return Rational(value)
 
 
 def rational_str(value) -> str:
     """Canonical ``num/den`` rendering (plain ``num`` when integral)."""
     return str(Rational(value))
+
+
+class Row:
+    """Rationals ``{key: value}`` as int numerators ``nums`` over one ``den`` > 0.
+
+    ``put`` raises ``den`` to the lcm with a new value's denominator only when
+    the value needs it, and then rescales the numerators in place."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values: dict):
+        self.den = den = math.lcm(*(v.denominator for v in values.values()))
+        self.nums = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+    def put(self, key, value) -> None:
+        q, den = value.denominator, self.den
+        if den % q:
+            self.den = math.lcm(den, q)
+            scale, den, nums = self.den // den, self.den, self.nums
+            for k in nums:
+                nums[k] *= scale
+        self.nums[key] = value.numerator * (den // q)
 
 
 def factorial(n: int) -> int:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .branches import coeffs_b, coeffs_c, series_K
-from .exact import ONE, Rational, ZERO, bernoulli, factorial, rational
+from .exact import ONE, Rational, Row, ZERO, bernoulli, factorial, rational
 from .report import compare_series, passed, start_clock
 from .series import (
     ASCENDING,
@@ -87,23 +87,27 @@ def _flow_fill(G: dict, T0: dict, top: int, solve=()) -> dict:
     T_j at depth w reads T_{j-1} only at smaller depths, so all terms fill
     together, depth by depth (relaxed evaluation, van der Hoeven 2002).  With
     ``solve`` (depth -> coefficient) and T0 = z, G is set at those depths so
-    the terms sum to the coefficient; T_1 = G alone reads it there."""
+    the terms sum to the coefficient; T_1 = G alone reads it there.  G and each
+    T_j' are int numerators over a running denominator (:class:`Row`), so a
+    term's convolution runs in ints and builds one Rational."""
     w0 = min(T0)
-    derivs = [{w + 1: -w * c for w, c in T0.items()}]  # T_j' at w + 1 is -w T_j at w
+    g = Row(G)
+    derivs = [Row({w + 1: -w * c for w, c in T0.items()})]  # T_j' at w + 1 is -w T_j at w
     total = {}
     for w in range(w0, top):
-        derivs.append({})  # T_{w-w0+1}', which starts at depth w + 2
+        derivs.append(Row({}))  # T_{w-w0+1}', which starts at depth w + 2
         s = T0.get(w, ZERO)
         for j in range(1, w - w0 + 1):
-            below = derivs[j - 1]
-            t = sum((g * below[w - a] for a, g in G.items() if w - a in below), ZERO)
+            below = derivs[j - 1].nums
+            t = sum(ga * below.get(w - a, 0) for a, ga in g.nums.items())
             if t:
-                t /= j
+                t = Rational(t, g.den * derivs[j - 1].den * j)
                 s += t
-                derivs[j][w + 1] = -w * t
+                derivs[j].put(w + 1, -w * t)
         if w in solve:
             G[w] = solve[w] - s
-            derivs[1][w + 1] = -w * G[w]
+            g.put(w, G[w])
+            derivs[1].put(w + 1, -w * G[w])
             s = solve[w]
         total[w] = s
     return total

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import ONE, ZERO, Rational, rational, rational_str
+from .exact import ONE, ZERO, Rational, Row, rational, rational_str
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -53,6 +53,8 @@ class PoleError(SeriesError):
 
 
 def _coerce(value):
+    if type(value) is Rational:  # immutable, so shared as it is
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not exact; pass int, str, or Rational")
     return rational(value)
@@ -101,6 +103,13 @@ class GradedSeries:
     @classmethod
     def identity(cls, direction, prec=None):
         return cls(direction, {1: 1}, prec)
+
+    @classmethod
+    def _of(cls, direction, coeffs, prec):
+        """Wraps Rationals that are already nonzero and inside the window."""
+        g = object.__new__(cls)
+        g.direction, g.coeffs, g.prec = direction, coeffs, prec
+        return g
 
     @classmethod
     def _from_w(cls, direction, wcoeffs, wprec):
@@ -281,26 +290,17 @@ class GradedSeries:
         # a lead stand-in of wprec for a window of zeros keeps the rule sound
         wla = self.wlead if self.coeffs else wpa
         wlb = other.wlead if other.coeffs else wpb
-        cands = []
-        if wpa is not None:
-            cands.append(wpa + wlb)
-        if wpb is not None:
-            cands.append(wpb + wla)
-        wp = min(cands) if cands else None
-        out = {}
-        for ea, ca in self.coeffs.items():
-            wea = self._w(ea)
-            for eb, cb in other.coeffs.items():
-                w = wea + other._w(eb)
-                if wp is not None and w >= wp:
-                    continue
-                v = ca * cb
-                if w in out:
-                    out[w] += v
-                else:
-                    out[w] = v
-        out = {w: c for w, c in out.items() if c != 0}
-        return GradedSeries._from_w(self.direction, out, wp)
+        wp = min((e + lead for e, lead in ((wpa, wlb), (wpb, wla)) if e is not None), default=None)
+        # int numerators over the lcm of each factor's denominators
+        ra, rb = Row(self.coeffs), Row(other.coeffs)
+        sign, out = (1 if self.direction == ASCENDING else -1), {}
+        for ea, ca in ra.nums.items():
+            for eb, cb in rb.nums.items():
+                if wp is None or sign * (ea + eb) < wp:
+                    out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+        den, prec = ra.den * rb.den, None if wp is None else sign * wp
+        coeffs = {e: Rational(c, den) for e, c in out.items() if c}
+        return GradedSeries._of(self.direction, coeffs, prec)
 
     __rmul__ = __mul__
 
@@ -338,21 +338,11 @@ class GradedSeries:
             raise TruncationError("reciprocal does not terminate on exact input; truncate() first")
         L = self.wlead
         cl = self.coeffs[self.lead]
-        # relative form 1 + s with s supported on w >= 1
-        rel = {self._w(e) - L: c for e, c in self.coeffs.items()}
-        depth = wp - L
-        inv = {0: ONE / cl}
-        for s in range(1, depth):
-            acc = ZERO
-            for u, cu in rel.items():
-                if 0 < u <= s:
-                    rv = inv.get(s - u)
-                    if rv is not None:
-                        acc += cu * rv
-            if acc != 0:
-                inv[s] = -acc / cl
+        # 1/(cl + s) with s the rest, supported on relative w >= 1
+        s = sorted((self._w(e) - L, c) for e, c in self.coeffs.items() if e != self.lead)
+        inv = _first_order(s, wp - L, -1, 1, q=cl, head=ONE / cl)
         return GradedSeries._from_w(
-            self.direction, {s - L: c for s, c in inv.items()}, wp - 2 * L
+            self.direction, {k - L: c for k, c in enumerate(inv)}, wp - 2 * L
         )
 
     def __pow__(self, n):
@@ -445,7 +435,7 @@ class GradedSeries:
         if wp is None:
             raise TruncationError("log does not terminate on exact input; truncate() first")
         s = sorted((self._w(e), c) for e, c in self.coeffs.items() if e)
-        out = _first_order(s, wp, 0, 1, head=ZERO, source=s)
+        out = _first_order(s, wp, 0, 1, head=ZERO, source=True)
         return GradedSeries._from_w(self.direction, dict(enumerate(out)), wp)
 
     # --- calculus ---------------------------------------------------------
@@ -586,28 +576,33 @@ def _eval_polynomial(coeffs, kmin, deg, x):
     return acc
 
 
-def _first_order(s, depth, p, b, q=1, head=ONE, source=()):
-    """``g_0 = head, g_1 .. g_(depth-1)`` solving ``(q + b s) g' = p s' g + source'``.
+def _first_order(s, depth, p, b, q=1, head=ONE, source=False):
+    """``g_0 = head, g_1 .. g_(depth-1)`` solving ``(q + b s) g' = p s' g (+ s')``.
 
-    ``s`` and ``source`` list ``(j, c_j)``, ``j >= 1``, ascending.  The
-    coefficients of ``w^(k-1)`` give ``q k g_k = k source_k +
-    sum_{j=1..k} ((p + b) j - b k) s_j g_(k-j)``, one pass over ``s`` per
-    coefficient.  ``b = q`` is J.C.P. Miller's recurrence for
-    ``(1 + s)^(p/q)``; ``p, b = 1, 0`` gives ``e^s``, and ``p, b = 0, 1``
-    with ``head = 0`` and ``source = s`` gives ``log(1 + s)``.
+    ``s`` lists ``(j, c_j)``, ``j >= 1``, ascending; ``s'`` joins the right side
+    when ``source`` is set.  The coefficients of ``w^(k-1)`` give ``q k g_k =
+    [source] k s_k + sum_{j=1..k} ((p + b) j - b k) s_j g_(k-j)``, one pass over
+    ``s`` per coefficient, summed in ints over the denominators of ``s`` and of
+    the ``g`` solved so far (:class:`Row`).  ``b = q`` is J.C.P. Miller's
+    recurrence for ``(1 + s)^(p/q)``, and ``p, b = -1, 1`` with ``head = 1/q``
+    gives ``1/(q + s)``; ``p, b = 1, 0`` gives ``e^s``, and ``p, b = 0, 1``
+    with ``head = 0`` and ``source`` gives ``log(1 + s)``.
     """
-    src = {j: j * c for j, c in source}
-    g = [head]
+    S, g = Row(dict(s)), Row({0: head})
+    sn, gn = S.nums, g.nums
+    out = [head]
     for k in range(1, depth):
-        acc = src.get(k, ZERO)
-        for j, sj in s:
+        acc = k * sn.get(k, 0) * g.den if source else 0
+        for j, sj in sn.items():
             if j > k:
                 break
-            gj = g[k - j]
+            gj = gn[k - j]
             if gj:
                 acc += ((p + b) * j - b * k) * sj * gj
-        g.append(acc / (k * q))
-    return g
+        value = Rational(acc * q.denominator, S.den * g.den * k * q.numerator)
+        g.put(k, value)
+        out.append(value)
+    return out
 
 
 # --- hyperbolic maps -------------------------------------------------------

@@ -433,15 +433,24 @@ def load_fk_fixture(path=None):
     return QPoly(terms), int(doc["weight_bound"])
 
 
-def kw_residual(F: QPoly, m: int) -> QPoly:
-    """e^{-F} (L_{2m} - (2m+3) d_{2m+3}) e^{F}, expanded in the log variables.
+def kw_residual(F: QPoly, m: int, top=None) -> QPoly:
+    """e^{-F} (L_{2m} - (2m+3) d_{2m+3}) e^{F}, expanded in the log variables;
+    with ``top``, only its weights up to ``top`` are exact.
 
     e^{-F} d_a d_b e^{F} = d_a d_b F + d_a F d_b F, so the residual is L_{2m} F
-    plus the bilinear terms (ab/2) d_a F d_b F, minus (2m+3) d_{2m+3} F.
+    plus the bilinear terms (ab/2) d_a F d_b F, minus (2m+3) d_{2m+3} F.  A
+    product of weight parts of d_a F and d_b F whose weights sum past ``top``
+    is not built.
     """
     two_m = 2 * m
-    dF = {a: F.derivative(a) for a in range(1, two_m)}
-    bilinear = [(Rational(a * (two_m - a), 2), dF[a] * dF[two_m - a]) for a in dF]
+    dF = {a: F.derivative(a).weight_parts() for a in range(1, two_m)}
+    bilinear = [
+        (Rational(a * (two_m - a), 2), pa * pb)
+        for a in dF
+        for u, pa in dF[a].items()
+        for v, pb in dF[two_m - a].items()
+        if top is None or u + v <= top
+    ]
     shift = (-(two_m + 3), F.derivative(two_m + 3))
     return _combine([(1, make_L(two_m)(F)), *bilinear, shift])
 
@@ -463,7 +472,7 @@ def verify_kw_constraints(
     valid = bound - 2 * m - 3
     if valid < 0:
         raise ValueError(f"fixture weight bound {bound} too small for m={m}")
-    residual = kw_residual(F, m)
+    residual = kw_residual(F, m, valid)
     for w, part in residual.weight_parts().items():
         if w > valid:
             continue

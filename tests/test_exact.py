@@ -11,6 +11,7 @@ from branchflow.exact import (
     ONE,
     ZERO,
     Rational,
+    Row,
     bernoulli,
     double_factorial,
     factorial,
@@ -51,6 +52,22 @@ def test_field_axioms(a, b, c):
 @given(rationals)
 def test_string_round_trip(a):
     assert rational(rational_str(a)) == a
+
+
+def test_row_raises_its_denominator_only_when_a_value_needs_it():
+    row = Row({0: Rational(1, 6), 1: Rational(-1, 4)})
+    assert (row.nums, row.den) == ({0: 2, 1: -3}, 12)
+    row.put(2, Rational(5, 3))  # 3 divides 12: the numerators stay as they are
+    assert (row.nums, row.den) == ({0: 2, 1: -3, 2: 20}, 12)
+    nums = row.nums
+    row.put(3, Rational(1, 10))  # the lcm 60 rescales the earlier numerators in place
+    assert row.nums is nums
+    assert (row.nums, row.den) == ({0: 10, 1: -15, 2: 100, 3: 6}, 60)
+    row.put(1, Rational(1, 7))  # a key put again takes the new value
+    assert [Fraction(n, row.den) for n in row.nums.values()] == [
+        Rational(1, 6), Rational(1, 7), Rational(5, 3), Rational(1, 10)
+    ]
+    assert (Row({}).nums, Row({}).den) == ({}, 1)
 
 
 def test_factorials():

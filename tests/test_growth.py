@@ -28,8 +28,8 @@ def test_fit_recovers_a_power_law():
 @pytest.mark.parametrize(
     "op",
     [
-        "exp", "log", "coth", "revert", "compose", "flow_solve", "flow_apply",
-        "vir_scan", "factorization",
+        "mul", "reciprocal", "exp", "log", "coth", "revert", "compose", "flow_solve",
+        "flow_apply", "vir_scan", "factorization",
     ],
 )
 def test_times_each_order_in_a_fresh_interpreter(op):

@@ -1,5 +1,7 @@
 """GradedSeries ring, composition, reversion, and transcendental maps."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -497,6 +499,81 @@ def test_revert_window_is_honest(data):
     d = data.draw(directions)
     x, x_cut = data.draw(cut_series(d, 1, unit=d == DESCENDING))
     assert_window_agrees(x_cut.revert(), x.revert())
+
+
+# --- the integer kernel against one Fraction product per term ---------------------
+
+
+def fraction_mul(x, y):
+    """``(coeffs, prec)`` of ``x * y``, summing one Fraction product per term."""
+    sign = 1 if x.direction == ASCENDING else -1
+    if (x.prec is None and not x.coeffs) or (y.prec is None and not y.coeffs):
+        return {}, None
+    # the window rule: each known edge plus the other factor's lead
+    wla = x.wlead if x.coeffs else x.wprec
+    wlb = y.wlead if y.coeffs else y.wprec
+    edges = [wp + wl for wp, wl in ((x.wprec, wlb), (y.wprec, wla)) if wp is not None]
+    wp = min(edges, default=None)
+    out = {}
+    for ea, ca in x.coeffs.items():
+        for eb, cb in y.coeffs.items():
+            if wp is None or sign * (ea + eb) < wp:
+                out[ea + eb] = out.get(ea + eb, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}, None if wp is None else sign * wp
+
+
+def fraction_reciprocal(x):
+    """``(coeffs, prec)`` of ``1/x`` from ``r_s = -(sum_u x_u r_(s-u)) / x_0`` in
+    relative orders, one Fraction product per term."""
+    sign = 1 if x.direction == ASCENDING else -1
+    lead, wp = x.wlead, x.wprec
+    rel = {sign * e - lead: Fraction(c) for e, c in x.coeffs.items()}
+    inv = [1 / rel[0]]
+    for s in range(1, wp - lead):
+        inv.append(-sum(rel.get(u, 0) * inv[s - u] for u in range(1, s + 1)) / rel[0])
+    return {sign * (s - lead): c for s, c in enumerate(inv) if c}, sign * (wp - 2 * lead)
+
+
+# coprime, prime-power, large and composite denominators next to small ones
+kernel_rationals = st.one_of(
+    small_rationals,
+    st.builds(
+        Fraction,
+        st.integers(-(10**40), 10**40),
+        st.sampled_from([7, 9, 720, 3**30, 2**61 - 1, 10**25 + 13]),
+    ),
+)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """(x, y) of one direction, each sparse, exact or windowed; y is drawn, or is
+    x at -z, so that every odd order of x * y cancels to zero."""
+    d = draw(directions)
+    sign = 1 if d == ASCENDING else -1
+
+    def series():
+        lead = draw(st.integers(-3, 3))
+        terms = draw(st.dictionaries(st.integers(0, 12), kernel_rationals, max_size=8))
+        wp = draw(st.one_of(st.none(), st.integers(lead, lead + 14)))
+        coeffs = {sign * (lead + k): c for k, c in terms.items() if wp is None or lead + k < wp}
+        return GradedSeries(d, coeffs, None if wp is None else sign * wp)
+
+    x = series()
+    if draw(st.booleans()):
+        return x, series()
+    return x, GradedSeries(d, {e: -c if e % 2 else c for e, c in x.coeffs.items()}, x.prec)
+
+
+@given(kernel_pairs())
+@settings(max_examples=200)
+def test_mul_and_reciprocal_match_fraction_reference(case):
+    x, y = case
+    got = x * y
+    assert (got.coeffs, got.prec) == fraction_mul(x, y)
+    if x.coeffs and x.prec is not None:
+        got = x.reciprocal()
+        assert (got.coeffs, got.prec) == fraction_reciprocal(x)
 
 
 # --- exp and log against their power sums ------------------------------------------

@@ -4,13 +4,16 @@
     python3 scripts/growth.py exp --orders 40 80 120 200
     python3 scripts/growth.py coth --orders 40 80 --runs 1 --src ../other/src
     python3 scripts/growth.py vir_scan --orders 6 9 12 15
+    python3 scripts/growth.py vir_grid --orders 12 13 14 15
 
 Each (order, run) is a fresh interpreter that builds the operation's input
 and times only the operation itself with ``time.perf_counter``.  The last
 stdout line is one JSON object: the median time per order and the exponent
 of the least-squares line through (log order, log time).  For the operator
-ops (``vir_scan``, ``factorization``) the order is the weight bound of the
-q-polynomial corpus.  ``--src`` points at the ``src`` directory of another
+ops the order is the weight bound of the q-polynomial corpus: ``vir_scan``
+times one commutator cell, ``vir_grid`` the CLI's whole -5..5 scan (its
+corpus adds a seeded sample up to weight 12, so fit it from 12 up), and
+``factorization`` the factorization check.  ``--src`` points at the ``src`` directory of another
 checkout, so one harness times both sides of a change.  Stdlib only.
 """
 
@@ -82,6 +85,12 @@ OPS = {
         "from branchflow import check_virasoro_commutator, corpus_monomials\n"
         "x = corpus_monomials(n)",
         "check_virasoro_commutator(3, -2, x)",
+    ),
+    "vir_grid": (
+        "verify virasoro-commutators --weight n --range=-5..5: all 121 cells, one corpus",
+        "from argparse import Namespace\nfrom branchflow.cli import IDENTITIES\n"
+        "x = Namespace(weight=n, seed=0, range=(-5, 5))",
+        'IDENTITIES["virasoro-commutators"](x)',
     ),
     "factorization": (
         "verify_factorization(n), l and b built inside",

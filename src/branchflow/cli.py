@@ -2,8 +2,9 @@
 
 Output contract: machine-readable results on stdout (one JSON document for
 coeffs, JSON lines for verify), human-oriented notes on stderr.  Exit 0 when
-everything passed or was skipped, 1 on any FAIL, 2 on usage errors, 3 on an
-internal error: a series operation refused to answer for accepted input.
+everything passed or was skipped, 1 on any FAIL, 2 on usage errors (bad
+arguments, an unusable path or fixture), 3 on an internal error: any other
+exception, such as a series operation refusing to answer for accepted input.
 """
 
 import argparse
@@ -47,15 +48,19 @@ from .flows import (
 )
 from .series import ASCENDING, SeriesError
 from .virasoro import (
-    check_grading,
-    check_heisenberg_commutator,
-    check_virasoro_commutator,
+    FixtureError,
     default_corpus,
+    scan_grading,
+    scan_heisenberg_commutators,
+    scan_virasoro_commutators,
     verify_factorization,
     verify_kw_constraints,
 )
 
 MAX_ORDER = 200
+MAX_WEIGHT = 16
+# a scan costs cells x corpus, so --range ends are capped like --weight
+MAX_INDEX = 16
 ENV_ORDER = "BRANCHFLOW_DEFAULT_ORDER"
 
 
@@ -129,9 +134,11 @@ def _grid(args, *keys) -> list:
     return [dict(zip(keys, idx)) for idx in product(range(lo, hi + 1), repeat=len(keys))]
 
 
-def _operator_scan(args, check, cells) -> list:
+def _operator_scan(args, scan, cells) -> list:
+    """One scan over every cell: the corpus is walked once, not once per cell."""
     corpus = default_corpus(args.weight, max(args.weight, 12), args.seed)
-    return [_cell(check(*cell.values(), corpus), cell) for cell in cells]
+    reports = scan([tuple(cell.values()) for cell in cells], corpus)
+    return [_cell(report, cell) for report, cell in zip(reports, cells)]
 
 
 # name -> runner(args), the reports of one identity, in the order `verify all`
@@ -149,13 +156,13 @@ IDENTITIES = {
     "flow-laws": lambda args: [verify_flow_laws(args.order, seed=args.seed)],
     "nz-bernoulli": lambda args: [verify_nz_identity(args.order)],
     "virasoro-commutators": lambda args: _operator_scan(
-        args, check_virasoro_commutator, _grid(args, "m", "n")
+        args, scan_virasoro_commutators, _grid(args, "m", "n")
     ),
     # alpha_0 has no basic form, so the n = 0 row is not scanned at all
     "heisenberg-commutators": lambda args: _operator_scan(
-        args, check_heisenberg_commutator, [c for c in _grid(args, "n", "k") if c["n"] != 0]
+        args, scan_heisenberg_commutators, [c for c in _grid(args, "n", "k") if c["n"] != 0]
     ),
-    "grading": lambda args: _operator_scan(args, check_grading, _grid(args, "m")),
+    "grading": lambda args: _operator_scan(args, scan_grading, _grid(args, "m")),
     "factorization": lambda args: [verify_factorization(weight_bound=args.weight)],
     "kw-constraints": lambda args: [
         _cell(verify_kw_constraints(m, fixture_path=args.fixture), {"m": m}) for m in (1, 2)
@@ -170,6 +177,8 @@ def _parse_range(text: str, parser) -> tuple:
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
         parser.error(f"--range bounds out of order: {lo} > {hi}")
+    if not -MAX_INDEX <= lo <= hi <= MAX_INDEX:
+        parser.error(f"--range ends must lie in -{MAX_INDEX}..{MAX_INDEX}, got {lo}..{hi}")
     return lo, hi
 
 
@@ -216,13 +225,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusal(label: str, exc: Exception) -> int:
+    """The exit code and stderr line for an exception out of a runner: 2 when the
+    input is refused (an unusable path or fixture), 3 for anything else."""
+    if isinstance(exc, (OSError, FixtureError)):
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return 2
+    reason = exc if isinstance(exc, SeriesError) else f"{type(exc).__name__}: {exc}"
+    print(f"internal error: {label}: {reason}", file=sys.stderr)
+    return 3
+
+
 def run_coeffs(args) -> int:
-    text = render_coeffs(args.family, args.order, family_rows(args.family, args.order), args.format)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as sink:
-            sink.write(text)
+    try:
+        rows = family_rows(args.family, args.order)
+        text = render_coeffs(args.family, args.order, rows, args.format)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as sink:
+                sink.write(text)
+    except Exception as exc:  # no traceback leaves the CLI
+        return _refusal(f"coeffs {args.family}", exc)
     return 0
 
 
@@ -233,12 +257,8 @@ def run_verify(args) -> int:
     for name in names:
         try:
             reports = IDENTITIES[name](args)
-        except SeriesError as exc:
-            print(f"internal error: {name}: {exc}", file=sys.stderr)
-            return 3
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return 2
+        except Exception as exc:  # no traceback leaves the CLI
+            return _refusal(name, exc)
         for rep in reports:
             counts[rep.status] += 1
             sys.stdout.write(rep.to_json_line() + "\n")
@@ -284,8 +304,8 @@ def main(argv=None) -> int:
     args.order = _resolve_order(args.order, parser)
     if args.command == "verify":
         args.range = _parse_range(args.range, parser)
-        if not 1 <= args.weight <= 16:
-            parser.error(f"--weight must be between 1 and 16, got {args.weight}")
+        if not 1 <= args.weight <= MAX_WEIGHT:
+            parser.error(f"--weight must be between 1 and {MAX_WEIGHT}, got {args.weight}")
     return run_coeffs(args) if args.command == "coeffs" else run_verify(args)
 
 

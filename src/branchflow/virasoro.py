@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from reprlib import repr as _short
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from importlib import resources
 from math import gcd, lcm
 
@@ -27,6 +29,7 @@ from .exact import ONE, Rational, ZERO, rational
 from .report import VerificationReport, failed, passed, skipped, start_clock
 
 FIXTURE_RESOURCE = "fk_fixture.json"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # p or p/q, q > 0
 
 
 def _key(indices) -> tuple:
@@ -114,10 +117,6 @@ class QPoly:
     def monomial(cls, indices, coeff=ONE) -> "QPoly":
         return cls({_key(indices): rational(coeff)})
 
-    @classmethod
-    def variable(cls, k: int) -> "QPoly":
-        return cls.monomial((k,))
-
     def is_zero(self) -> bool:
         return not self._num
 
@@ -151,11 +150,6 @@ class QPoly:
                 key = _key(ka + kb)
                 out[key] = out.get(key, 0) + ca * cb
         return _canon(out, self._den * other._den)
-
-    def mul_var(self, k: int) -> "QPoly":
-        if k < 1:
-            raise ValueError(f"q-indices must be positive, got {k}")
-        return make_alpha(-k)(self)
 
     def derivative(self, j: int) -> "QPoly":
         return make_d(j)(self)
@@ -236,9 +230,9 @@ def commutator(A: LinearOp, B: LinearOp, p: QPoly) -> QPoly:
     return A(B(p)) - B(A(p))
 
 
-def _compare_qpoly(identity, order, sides, t0):
-    """PASS if lhs == rhs for every (lhs, rhs) of ``sides``, else FAIL at the
-    first differing term of the first differing pair."""
+def _first_mismatch(sides):
+    """None if lhs == rhs for every (lhs, rhs) of ``sides``, else (weight, lhs, rhs)
+    at the first differing term, in canonical order, of the first differing pair."""
     for lhs, rhs in sides:
         if lhs == rhs:  # canonical forms: equal values, equal representations
             continue
@@ -246,9 +240,26 @@ def _compare_qpoly(identity, order, sides, t0):
         for key in sorted(nl.keys() | nr.keys(), key=lambda k: (sum(k), k)):
             cl, cr = nl.get(key, 0), nr.get(key, 0)
             if cl * dr != cr * dl:
-                left, right = str(Rational(cl, dl)), str(Rational(cr, dr))
-                return failed(identity, order, t0, sum(key), left, right)
-    return passed(identity, order, t0)
+                return sum(key), str(Rational(cl, dl)), str(Rational(cr, dr))
+    return None
+
+
+def _scan(identity, order, t0, corpus, cells, sides, skip=()) -> list:
+    """One report per cell, in the order of ``cells``.  The corpus is walked once:
+    ``sides(p)`` maps a cell to its (lhs, rhs) pairs on ``p``, and is asked only
+    for cells that have not failed yet.  A cell FAILs at the first polynomial, in
+    corpus order, whose pairs differ; every image ``sides(p)`` memoises lives for
+    ``p`` alone.  A cell's elapsed time runs from ``t0`` until its verdict."""
+    order = order if order is not None else max(p.max_weight() for p in corpus)
+    reports = {cell: skipped(identity, order, t0) for cell in skip}
+    for p in corpus:
+        on_p = sides(p)
+        for cell in cells:
+            if cell not in reports:
+                mismatch = _first_mismatch(on_p(cell))
+                if mismatch is not None:
+                    reports[cell] = failed(identity, order, t0, *mismatch)
+    return [reports[cell] if cell in reports else passed(identity, order, t0) for cell in cells]
 
 
 # --- corpora ------------------------------------------------------------------
@@ -293,44 +304,103 @@ def default_corpus(weight_bound: int = 9, sample_bound: int = 12, seed: int = 0)
 
 
 # --- commutation checks ---------------------------------------------------------
+#
+# Each scan takes its cells as index tuples and walks the corpus once, building
+# every operator image it needs once per polynomial: L_k p and the composites
+# L_m L_n p are shared by all the cells that read them.  The check_* functions
+# are one-cell scans.  Operators come from the module globals make_L and
+# make_alpha, looked up when a scan starts.
+
+
+def scan_virasoro_commutators(cells, corpus, order=None) -> list:
+    """[L_m, L_n] = (m-n) L_{m+n} + (m^3 - m)/12 on m + n = 0, per (m, n) cell.
+
+    Cells are checked in mirror pairs, (m, n) next to (n, m): the two composites
+    L_m L_n p and L_n L_m p that both read are built by the first and dropped by
+    the second, so few of them are alive at once, whatever the range."""
+    t0 = start_clock()
+    L = {k: make_L(k) for k in sorted({k for m, n in cells for k in (m, n, m + n)})}
+    central = {(m, n): Rational(m ** 3 - m, 12) if m + n == 0 else ZERO for m, n in cells}
+    mirrored = sorted(cells, key=lambda cell: (sorted(cell), cell))
+
+    def sides(p):
+        Lp = cache(lambda k: L[k](p))
+        held = {}  # (m, n) -> (L_m L_n p, L_n L_m p), until cell (n, m) takes it
+
+        def on_p(cell):
+            m, n = cell
+            if (n, m) in held:
+                LnLm, LmLn = held.pop((n, m))
+            else:
+                LmLn = L[m](Lp(n))
+                LnLm = LmLn if m == n else L[n](Lp(m))
+                if m != n:
+                    held[cell] = LmLn, LnLm
+            return ((LmLn - LnLm, _combine(((m - n, Lp(m + n)), (central[cell], p)))),)
+
+        return on_p
+
+    reports = _scan("virasoro-commutators", order, t0, corpus, mirrored, sides)
+    by_cell = dict(zip(mirrored, reports))
+    return [by_cell[cell] for cell in cells]
+
+
+def scan_heisenberg_commutators(cells, corpus, order=None) -> list:
+    """[(1/n) alpha_n, L_k] = alpha_{n+k} per (n, k) cell; n + k = 0 is SKIPPED."""
+    t0 = start_clock()
+    live = [(n, k) for n, k in cells if n + k]
+    alpha = {j: make_alpha(j) for j in sorted({j for n, k in live for j in (n, n + k)})}
+    L = {k: make_L(k) for k in sorted({k for _, k in live})}
+    inverse = {n: Rational(1, n) for n, _ in live}
+
+    def sides(p):
+        ap = cache(lambda j: alpha[j](p))
+        Lp = cache(lambda k: L[k](p))
+
+        def on_p(cell):
+            n, k = cell
+            inv = inverse[n]
+            lhs = _combine(((inv, alpha[n](Lp(k))), (-inv, L[k](ap(n)))))
+            return ((lhs, ap(n + k)),)
+
+        return on_p
+
+    skip = [(n, k) for n, k in cells if not n + k]
+    return _scan("heisenberg-commutators", order, t0, corpus, cells, sides, skip)
+
+
+def scan_grading(cells, corpus, order=None) -> list:
+    """L_m maps a weight-w monomial to a weight-(w - m) polynomial or to zero,
+    per (m,) cell: the part of each image outside weight w - m must vanish."""
+    t0 = start_clock()
+    L = {m: make_L(m) for m in sorted({cell[0] for cell in cells})}
+    zero = QPoly._of({}, 1)
+
+    def sides(p):
+        parts = p.weight_parts().items()
+
+        def on_p(cell):
+            (m,) = cell
+            for w, part in parts:
+                image = L[m](part)
+                stray = {key: v for key, v in image._num.items() if sum(key) != w - m}
+                yield _canon(stray, image._den), zero
+
+        return on_p
+
+    return _scan("grading", order, t0, corpus, cells, sides)
 
 
 def check_virasoro_commutator(m: int, n: int, corpus, order=None) -> VerificationReport:
-    """[L_m, L_n] = (m-n) L_{m+n} + (m^3 - m)/12 on m + n = 0."""
-    t0 = start_clock()
-    order = order if order is not None else max(p.max_weight() for p in corpus)
-    Lm, Ln, Lmn = make_L(m), make_L(n), make_L(m + n)
-    central = Rational(m ** 3 - m, 12) if m + n == 0 else ZERO
-    sides = (
-        (commutator(Lm, Ln, p), _combine(((m - n, Lmn(p)), (central, p)))) for p in corpus
-    )
-    return _compare_qpoly("virasoro-commutators", order, sides, t0)
+    return scan_virasoro_commutators([(m, n)], corpus, order)[0]
 
 
 def check_heisenberg_commutator(n: int, k: int, corpus, order=None) -> VerificationReport:
-    """[(1/n) alpha_n, L_k] = alpha_{n+k}; the n + k = 0 case is out of scope."""
-    t0 = start_clock()
-    order = order if order is not None else max(p.max_weight() for p in corpus)
-    if n + k == 0:
-        return skipped("heisenberg-commutators", order, t0)
-    an, Lk, ank = make_alpha(n), make_L(k), make_alpha(n + k)
-    inv = Rational(1, n)
-    sides = ((_combine(((inv, an(Lk(p))), (-inv, Lk(an(p))))), ank(p)) for p in corpus)
-    return _compare_qpoly("heisenberg-commutators", order, sides, t0)
+    return scan_heisenberg_commutators([(n, k)], corpus, order)[0]
 
 
 def check_grading(m: int, corpus, order=None) -> VerificationReport:
-    """L_m maps a weight-w monomial to a weight-(w - m) polynomial or to zero."""
-    t0 = start_clock()
-    order = order if order is not None else max(p.max_weight() for p in corpus)
-    Lm = make_L(m)
-    for p in corpus:
-        for w, part in p.weight_parts().items():
-            for iw, ipart in Lm(part).weight_parts().items():
-                if iw != w - m:
-                    _, coeff = ipart.items()[0]
-                    return failed("grading", order, t0, iw, str(coeff), "0")
-    return passed("grading", order, t0)
+    return scan_grading([(m,)], corpus, order)[0]
 
 
 # --- exponentials and the factorization -----------------------------------------
@@ -409,28 +479,63 @@ def verify_factorization(
     t0 = start_clock()
     corpus = corpus if corpus is not None else corpus_monomials(weight_bound)
     lhs, rhs = factorization_sides(weight_bound, l_values, b_values)
-    sides = ((lhs(p), rhs(p)) for p in corpus)
-    return _compare_qpoly("factorization", weight_bound, sides, t0)
+    (report,) = _scan(
+        "factorization", weight_bound, t0, corpus, [()], lambda p: lambda _: ((lhs(p), rhs(p)),)
+    )
+    return report
 
 
 # --- the fixture and the string-equation constraints ----------------------------
 
 
+class FixtureError(ValueError):
+    """A fixture the loader or the constraint check refuses: bad JSON, a wrong
+    type or shape at some key, or a weight bound too small to check anything."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_fk_fixture(path=None):
-    """Returns (F, weight_bound) from the shipped or an explicit fixture file."""
-    if path is None:
-        blob = resources.files("branchflow.data").joinpath(FIXTURE_RESOURCE).read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = fh.read()
-    doc = json.loads(blob)
+    """Returns (F, weight_bound) from the shipped or an explicit fixture file.
+
+    The document is {"weight_bound": int, "terms": [{"monomial": [int >= 1, ...],
+    "coefficient": int or "p/q"}, ...]}; anything else raises FixtureError.  A
+    JSON float coefficient is refused too: it would be read as its binary value.
+    """
+    try:
+        if path is None:
+            blob = resources.files("branchflow.data").joinpath(FIXTURE_RESOURCE).read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                blob = fh.read()
+        doc = json.loads(blob)
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or malformed JSON
+        raise FixtureError(f"fixture is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
+        raise FixtureError("fixture must be a JSON object with a list of terms")
+    bound = doc.get("weight_bound")
+    if not _is_int(bound):
+        raise FixtureError(f"weight_bound must be an integer, got {_short(bound)}")
     terms: dict = {}
     for rec in doc["terms"]:
-        key = _key(rec["monomial"])
+        if not isinstance(rec, dict):
+            raise FixtureError(f"a term must be an object, got {_short(rec)}")
+        mono, coeff = rec.get("monomial"), rec.get("coefficient")
+        if not isinstance(mono, list) or not all(_is_int(i) and i >= 1 for i in mono):
+            raise FixtureError(f"a monomial must list positive integers, got {_short(mono)}")
+        if not (_is_int(coeff) or isinstance(coeff, str) and _RATIONAL.fullmatch(coeff)):
+            raise FixtureError(f"a coefficient must be an int or 'p/q', got {_short(coeff)}")
+        try:
+            value = rational(coeff)
+        except ValueError as exc:  # more digits than int() reads
+            raise FixtureError(f"coefficient {_short(coeff)}: {exc}") from None
+        key = _key(mono)
         if key in terms:
-            raise ValueError(f"fixture lists the monomial {list(key)} twice")
-        terms[key] = rational(rec["coefficient"])
-    return QPoly(terms), int(doc["weight_bound"])
+            raise FixtureError(f"fixture lists the monomial {list(key)} twice")
+        terms[key] = value
+    return QPoly(terms), bound
 
 
 def kw_residual(F: QPoly, m: int, top=None) -> QPoly:
@@ -471,7 +576,7 @@ def verify_kw_constraints(
         bound = weight_bound if weight_bound is not None else F.max_weight()
     valid = bound - 2 * m - 3
     if valid < 0:
-        raise ValueError(f"fixture weight bound {bound} too small for m={m}")
+        raise FixtureError(f"fixture weight bound {bound} too small for m={m}")
     residual = kw_residual(F, m, valid)
     for w, part in residual.weight_parts().items():
         if w > valid:

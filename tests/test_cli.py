@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from branchflow.cli import main
+from branchflow.cli import FAMILIES, IDENTITIES, main
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE = REPO / "src" / "branchflow" / "data" / "fk_fixture.json"
@@ -98,6 +100,8 @@ def test_module_entry_point():
         ["verify", "grading", "--range", "3..1"],
         ["verify", "grading", "--weight", "17"],
         ["verify", "grading", "--weight", "0"],
+        ["verify", "grading", "--range=-17..0"],
+        ["verify", "grading", "--range", "0..17"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -311,3 +315,163 @@ def test_verify_kw_missing_fixture_is_usage_error(tmp_path, capsys):
     )
     assert rc == 2
     assert "error: kw-constraints:" in err
+
+
+# --- the input contract, as properties --------------------------------------------
+#
+# Whatever the arguments or the fixture, main returns or exits with 0, 1, 2 or 3,
+# never with a traceback, and with 1 exactly when a FAIL was printed.
+
+
+def outcome(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses bad arguments with exit 2
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert rc in (0, 1, 2, 3), (argv, rc, captured.err)
+    printed_fail = any(line.startswith("FAIL ") for line in captured.err.splitlines())
+    assert (rc == 1) == printed_fail, (argv, rc, captured.err)
+    if argv[0] == "verify" and rc < 2:
+        statuses = [doc["status"] for doc in json_lines(captured.out)]
+        assert ("FAIL" in statuses) == (rc == 1)
+    if rc >= 2:
+        # one line names the refusal: argparse's "prog: error:", "error:" or "internal error:"
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    return rc, captured
+
+
+# capsys and tmp_path are read afresh for every example
+FIXTURES = [HealthCheck.function_scoped_fixture]
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# well-formed parts are drawn most often, so most documents carry one fault
+good_terms = st.fixed_dictionaries({
+    "monomial": st.lists(st.integers(1, 6), max_size=4),
+    "coefficient": st.integers(-5, 5) | st.sampled_from(["1/2", "-7/3", "1/24"]),
+})
+monomials = (
+    st.lists(st.integers(-1, 8), max_size=4) | st.lists(json_scalars, max_size=2) | json_values
+)
+coefficients = (
+    st.integers(-5, 5)
+    | st.sampled_from(["1/2", "-7/3", "1/0", "0", "abc", "1e5", "1.5", "", "9" * 5000])
+    | json_values
+)
+terms = st.one_of(
+    good_terms,
+    st.fixed_dictionaries({"monomial": monomials, "coefficient": coefficients}),
+    json_values,
+)
+bounds = st.one_of(st.integers(5, 14), st.integers(5, 14), st.integers(-2, 4), json_values)
+fixture_docs = st.one_of(
+    st.fixed_dictionaries({
+        "weight_bound": st.integers(5, 14),
+        "terms": st.lists(good_terms, unique_by=lambda t: tuple(sorted(t["monomial"]))),
+    }),
+    st.fixed_dictionaries({"weight_bound": bounds, "terms": st.lists(terms, max_size=5)}),
+    st.fixed_dictionaries({"weight_bound": bounds, "terms": st.lists(terms, max_size=5)}),
+    st.fixed_dictionaries({"weight_bound": bounds, "terms": json_values}),
+    json_values,
+)
+
+
+@given(fixture_docs)
+@settings(max_examples=100, deadline=None, suppress_health_check=FIXTURES)
+def test_any_fixture_document_ends_in_reports_or_a_refusal(tmp_path, capsys, doc):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    rc, captured = outcome(["verify", "kw-constraints", "--fixture", str(path)], capsys)
+    if rc == 2:
+        assert captured.err.startswith("error: kw-constraints: ") and captured.out == ""
+    assert rc != 3, captured.err
+
+
+def _one_term(**term):
+    return {"weight_bound": 18, "terms": [{"monomial": [3], "coefficient": "1/24", **term}]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"weight_bound": 18, "terms": 5},
+        _one_term(monomial="abc"),
+        _one_term(coefficient="1/0"),
+        _one_term(monomial=[1.5]),  # loaded as a q-index until refused
+        _one_term(coefficient=0.1),  # read as 3602879701896397/36028797018963968
+    ],
+    ids=["list", "terms-int", "monomial-str", "zero-denominator", "float-index", "float-coeff"],
+)
+def test_fixture_holes_are_usage_errors(tmp_path, capsys, doc):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(["verify", "kw-constraints", "--fixture", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: kw-constraints: ") and err.count("\n") == 1
+
+
+def test_coeffs_into_a_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "no" / "x.json"
+    rc, out, err = run(["coeffs", "f", "--order", "3", "--out", str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: coeffs f: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    from branchflow import cli
+
+    def broken(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "scan_grading", broken)
+    rc, out, err = run(["verify", "grading", "--weight", "2", "--range=0..1"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == "internal error: grading: KeyError: 'boom'\n"
+
+
+small = st.integers(1, 5).map(str)
+tokens = small | small | st.integers(-3, 6).map(str) | st.sampled_from(
+    ["0", "abc", "2.5", "", "1e3", "-", "201"]
+)
+range_ends = st.integers(-3, 3) | st.sampled_from([-17, 17, -1000, 1000])
+ranges = st.tuples(range_ends, range_ends).map(lambda t: f"{t[0]}..{t[1]}") | st.sampled_from(
+    ["abc", "1..", "..2", "-1...1", "0..1e1", "3..1"]
+)
+# scans at this size run in milliseconds; a generated --weight or --range overrides it
+SMALL_SCANS = ("--weight", "2", "--range=-1..1")
+verify_argv = st.tuples(
+    st.sampled_from([*IDENTITIES, "all", "nosuchidentity"]),
+    st.lists(
+        st.sampled_from(["--order", "--weight", "--seed"]).flatmap(
+            lambda flag: st.tuples(st.just(flag), tokens)
+        )
+        | ranges.map(lambda r: ("--range", r)),
+        max_size=3,
+    ),
+).map(lambda t: ["verify", t[0], *SMALL_SCANS, *(x for pair in t[1] for x in pair)])
+coeffs_argv = st.tuples(
+    st.sampled_from([*FAMILIES, "nosuchfamily"]),
+    st.lists(
+        st.tuples(st.just("--order"), tokens)
+        | st.tuples(st.just("--format"), st.sampled_from(["json", "csv", "xml"])),
+        max_size=3,
+    ),
+).map(lambda t: ["coeffs", t[0], *(x for pair in t[1] for x in pair)])
+
+
+@given(verify_argv | coeffs_argv)
+@settings(max_examples=100, deadline=None, suppress_health_check=FIXTURES)
+def test_any_argv_ends_in_reports_or_a_refusal(monkeypatch, capsys, argv):
+    # "all" and the series identities stay cheap: the default order is small
+    monkeypatch.setenv("BRANCHFLOW_DEFAULT_ORDER", "4")
+    outcome(argv, capsys)

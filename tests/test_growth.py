@@ -29,7 +29,7 @@ def test_fit_recovers_a_power_law():
     "op",
     [
         "mul", "reciprocal", "exp", "log", "coth", "revert", "compose", "flow_solve",
-        "flow_apply", "vir_scan", "factorization",
+        "flow_apply", "vir_scan", "vir_grid", "factorization",
     ],
 )
 def test_times_each_order_in_a_fresh_interpreter(op):

@@ -7,6 +7,7 @@ import math
 import numbers
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,25 +26,30 @@ from branchflow import (
     check_virasoro_commutator,
     commutator,
     corpus_monomials,
+    default_corpus,
     exp_op_apply,
     kw_residual,
     load_fk_fixture,
     make_L,
     make_alpha,
     make_d,
+    scan_grading,
+    scan_heisenberg_commutators,
+    scan_virasoro_commutators,
     verify_factorization,
     verify_kw_constraints,
 )
 from branchflow import virasoro
 from branchflow.branches import coeffs_b
 from branchflow.exact import rational
+from branchflow.report import failed, passed, skipped, start_clock
 from branchflow.virasoro import factorization_sides
 
 R = rational
 
 ONE = QPoly.one()
-Q1 = QPoly.variable(1)
-Q3 = QPoly.variable(3)
+Q1 = QPoly.monomial((1,))
+Q3 = QPoly.monomial((3,))
 
 
 # --- QPoly basics ---------------------------------------------------------
@@ -83,22 +89,15 @@ def test_qpoly_sums_keys_of_one_monomial():
     assert QPoly({(2, 1, 1): R(1), (1, 2, 1): R(-1), (4,): R(5)}).terms == {(4,): R(5)}
 
 
-def test_qpoly_derivative_and_mul_var():
+def test_qpoly_derivative_and_multiplication():
     sq = (Q3 * Q3) * Q1
-    assert sq.derivative(3) == Q3.mul_var(1).scale(2)
+    assert sq.derivative(3) == make_alpha(-1)(Q3).scale(2)
     assert sq.derivative(2).is_zero()
     assert ONE.derivative(1).is_zero()
 
 
-def test_mul_var_rejects_nonpositive_index():
-    with pytest.raises(ValueError):
-        Q1.mul_var(0)
-    with pytest.raises(ValueError):
-        Q1.mul_var(-3)
-
-
 def test_weight_parts_sorted_ascending():
-    p = QPoly.variable(5) + Q1 + ONE
+    p = QPoly.monomial((5,)) + Q1 + ONE
     assert list(p.weight_parts().keys()) == [0, 1, 5]
     assert p.max_weight() == 5
 
@@ -129,7 +128,7 @@ def test_central_term_pinned():
 
 
 def test_alpha_operators():
-    assert make_alpha(-2)(ONE) == QPoly.variable(2)
+    assert make_alpha(-2)(ONE) == QPoly.monomial((2,))
     assert make_alpha(3)(Q3) == ONE.scale(3)
     assert make_alpha(3)(Q1).is_zero()
     with pytest.raises(ValueError):
@@ -206,7 +205,7 @@ def is_canonical(p):
 def test_operators_match_defining_sums_and_stay_canonical(p, q, c):
     results = [p + q, p - q, p * q, -p, p.scale(c), p.scale(0), *p.weight_parts().values()]
     for j in range(1, 6):
-        results += [p.derivative(j), p.mul_var(j)]
+        results += [p.derivative(j), make_alpha(-j)(p)]
         for op, image in [
             (make_d(j), lambda idx: ref_d(idx, j)),
             (make_alpha(j), lambda idx: [(r, j * w) for r, w in ref_d(idx, j)]),
@@ -238,7 +237,7 @@ def test_results_are_int_numerators_in_lowest_terms(p, q, c):
     # the representation itself: a positive denominator, no zero numerator and
     # gcd(denominator, numerators) = 1, so == on values is == on representations
     results = [p + q, p - q, p * q, -p, p.scale(c), p.scale(0), *p.weight_parts().values()]
-    results += [make_L(m)(p) for m in (-3, 0, 2)] + [p.derivative(2), p.mul_var(3)]
+    results += [make_L(m)(p) for m in (-3, 0, 2)] + [p.derivative(2), make_alpha(-3)(p)]
     results.append(exp_op_apply([(c, make_L(1)), (R(1, 3), make_d(2))], p))
     for r in results:
         nums = list(r._num.values())
@@ -321,6 +320,166 @@ def test_virasoro_commutator_reports_a_missing_central_term(monkeypatch):
     assert report.first_mismatch.rhs == "1/2"
 
 
+# --- the scan engine against the per-cell loops it replaced ----------------------
+#
+# The oracle_* checks are the per-cell loops the scans used to run: each cell
+# walks the whole corpus and recomputes every operator image it reads.  They look
+# operators up through the virasoro module, so a monkeypatched make_L reaches them.
+
+
+def oracle_compare(identity, order, sides, t0):
+    for lhs, rhs in sides:
+        if lhs == rhs:
+            continue
+        (nl, dl), (nr, dr) = (lhs._num, lhs._den), (rhs._num, rhs._den)
+        for key in sorted(nl.keys() | nr.keys(), key=lambda k: (sum(k), k)):
+            cl, cr = nl.get(key, 0), nr.get(key, 0)
+            if cl * dr != cr * dl:
+                left, right = str(R(cl, dl)), str(R(cr, dr))
+                return failed(identity, order, t0, sum(key), left, right)
+    return passed(identity, order, t0)
+
+
+def oracle_virasoro(m, n, corpus):
+    t0 = start_clock()
+    order = max(p.max_weight() for p in corpus)
+    Lm, Ln, Lmn = virasoro.make_L(m), virasoro.make_L(n), virasoro.make_L(m + n)
+    central = R(m ** 3 - m, 12) if m + n == 0 else R(0)
+    sides = (
+        (commutator(Lm, Ln, p), Lmn(p).scale(m - n) + p.scale(central)) for p in corpus
+    )
+    return oracle_compare("virasoro-commutators", order, sides, t0)
+
+
+def oracle_heisenberg(n, k, corpus):
+    t0 = start_clock()
+    order = max(p.max_weight() for p in corpus)
+    if n + k == 0:
+        return skipped("heisenberg-commutators", order, t0)
+    an, Lk, ank = make_alpha(n), virasoro.make_L(k), make_alpha(n + k)
+    inv = R(1, n)
+    sides = ((an(Lk(p)).scale(inv) - Lk(an(p)).scale(inv), ank(p)) for p in corpus)
+    return oracle_compare("heisenberg-commutators", order, sides, t0)
+
+
+def oracle_grading(m, corpus):
+    t0 = start_clock()
+    order = max(p.max_weight() for p in corpus)
+    Lm = virasoro.make_L(m)
+    for p in corpus:
+        for w, part in p.weight_parts().items():
+            for iw, ipart in Lm(part).weight_parts().items():
+                if iw != w - m:
+                    _, coeff = ipart.items()[0]
+                    return failed("grading", order, t0, iw, str(coeff), "0")
+    return passed("grading", order, t0)
+
+
+SPAN = range(-3, 4)
+PAIRS = [(a, b) for a in SPAN for b in SPAN]
+HEIS = [(n, k) for n, k in PAIRS if n != 0]  # the CLI does not scan alpha_0
+
+
+def outcome(report):
+    return report.identity, report.order, report.status, report.first_mismatch
+
+
+def wrong_L_minus_2(make_L_):
+    """L_{-2} without its (1/2) q_1^2 sum."""
+
+    def make(m):
+        L = make_L_(m)
+        if m != -2:
+            return L
+        return replace(L, image=lambda key: [t for t in L.image(key) if len(t[0]) <= len(key)])
+
+    return make
+
+
+def misgraded_L_0(make_L_):
+    """L_0 sending every monomial to 7 q_2 + 5 q_1^2."""
+    bad = LinearOp("L[0]", 0, lambda key: [((2,), R(7)), ((1, 1), R(5))])
+    return lambda m: bad if m == 0 else make_L_(m)
+
+
+@pytest.mark.parametrize("fault", [None, wrong_L_minus_2, misgraded_L_0],
+                         ids=["true", "wrong-L-2", "misgraded-L0"])
+def test_scans_report_what_the_per_cell_loops_report(monkeypatch, fault):
+    if fault is not None:
+        monkeypatch.setattr(virasoro, "make_L", fault(virasoro.make_L))
+    corpus = default_corpus(6, 12, 0)  # the CLI's corpus at --weight 6
+    engine = [
+        *scan_virasoro_commutators(PAIRS, corpus),
+        *scan_heisenberg_commutators(HEIS, corpus),
+        *scan_grading([(m,) for m in SPAN], corpus),
+    ]
+    oracle = [
+        *(oracle_virasoro(m, n, corpus) for m, n in PAIRS),
+        *(oracle_heisenberg(n, k, corpus) for n, k in HEIS),
+        *(oracle_grading(m, corpus) for m in SPAN),
+    ]
+    assert [outcome(r) for r in engine] == [outcome(r) for r in oracle]
+    one_cell = [
+        *(check_virasoro_commutator(m, n, corpus) for m, n in PAIRS),
+        *(check_heisenberg_commutator(n, k, corpus) for n, k in HEIS),
+        *(check_grading(m, corpus) for m in SPAN),
+    ]
+    assert [outcome(r) for r in one_cell] == [outcome(r) for r in oracle]
+    failures = sum(r.status == FAIL for r in oracle)
+    assert (failures == 0) == (fault is None)
+
+
+def test_scans_apply_each_image_once_per_polynomial(monkeypatch):
+    calls = Counter()
+
+    def counting(make):
+        def make_counted(i):
+            op = make(i)
+
+            def apply(p):
+                calls[op.name] += 1
+                return op(p)
+
+            return apply
+
+        return make_counted
+
+    monkeypatch.setattr(virasoro, "make_L", counting(virasoro.make_L))
+    monkeypatch.setattr(virasoro, "make_alpha", counting(virasoro.make_alpha))
+    corpus = corpus_monomials(4)
+    per_p = Counter()
+
+    def expect(name, times=1):
+        per_p[name] += times
+
+    # L_k p for every k in the cells and their sums, then L_m (L_n p) per ordered pair
+    assert all(r.status == PASS for r in scan_virasoro_commutators(PAIRS, corpus))
+    for k in range(-6, 7):
+        expect(f"L[{k}]")
+    for m, n in PAIRS:
+        expect(f"L[{m}]")
+    assert calls == Counter({name: c * len(corpus) for name, c in per_p.items()})
+
+    # alpha_j p and L_k p once each, then alpha_n (L_k p) and L_k (alpha_n p) per live cell
+    calls.clear(), per_p.clear()
+    reports = scan_heisenberg_commutators(HEIS, corpus)
+    live = [(n, k) for n, k in HEIS if n + k]
+    assert [r.status for r in reports] == [PASS if n + k else SKIPPED for n, k in HEIS]
+    for j in {j for n, k in live for j in (n, n + k)}:
+        expect(f"alpha[{j}]")
+    for k in {k for _, k in live}:
+        expect(f"L[{k}]")
+    for n, k in live:
+        expect(f"alpha[{n}]")
+        expect(f"L[{k}]")
+    assert calls == Counter({name: c * len(corpus) for name, c in per_p.items()})
+
+    # each monomial is one weight part: one L_m image per cell
+    calls.clear()
+    assert all(r.status == PASS for r in scan_grading([(m,) for m in SPAN], corpus))
+    assert calls == Counter({f"L[{m}]": len(corpus) for m in SPAN})
+
+
 def test_jacobi_identity():
     def bracket(A, B):
         return lambda p: A(B(p)) - B(A(p))
@@ -363,8 +522,8 @@ def test_exp_of_empty_sum_is_identity():
 def test_exp_single_shift():
     # exp(-b_3 d_5) q_5 = q_5 - 1/36
     b3 = R(1, 36)
-    out = exp_op_apply([(-b3, make_d(5))], QPoly.variable(5))
-    assert out == QPoly.variable(5) - ONE.scale(b3)
+    out = exp_op_apply([(-b3, make_d(5))], QPoly.monomial((5,)))
+    assert out == QPoly.monomial((5,)) - ONE.scale(b3)
 
 
 def test_exp_group_law_on_commuting_shifts():

@@ -8,12 +8,14 @@
 
 Each (order, run) is a fresh interpreter that builds the operation's input
 and times only the operation itself with ``time.perf_counter``.  The last
-stdout line is one JSON object: the median time per order and the exponent
-of the least-squares line through (log order, log time).  For the operator
-ops the order is the weight bound of the q-polynomial corpus: ``vir_scan``
-times one commutator cell, ``vir_grid`` the CLI's whole -5..5 scan (its
-corpus adds a seeded sample up to weight 12, so fit it from 12 up), and
-``factorization`` the factorization check.  ``--src`` points at the ``src`` directory of another
+stdout line is one JSON object: the median time per order, the exponent of
+the least-squares line through (log order, log time), and the largest peak
+RSS per order (``ru_maxrss`` of the interpreters, KiB), so that a trade of
+memory for time shows next to its fit.  For the operator ops the order is the
+weight bound of the q-polynomial corpus: ``vir_scan`` times one commutator
+cell, ``vir_grid`` the CLI's whole -5..5 scan (its corpus adds a seeded sample
+up to weight 12, so fit it from 12 up), and ``factorization`` the
+factorization check.  ``--src`` points at the ``src`` directory of another
 checkout, so one harness times both sides of a change.  Stdlib only.
 """
 
@@ -100,23 +102,25 @@ OPS = {
 }
 
 CHILD = """\
-import sys, time
+import resource, sys, time
 sys.path.insert(0, {src!r})
 n = {n}
 {setup}
 t0 = time.perf_counter()
 {stmt}
-print(time.perf_counter() - t0)
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
 def time_once(src, op, n):
+    """(seconds, peak RSS in KiB) of one fresh interpreter."""
     _, setup, stmt = OPS[op]
     code = CHILD.format(src=src, n=n, setup=setup, stmt=stmt)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{op} at order {n} failed:\n{done.stderr}")
-    return float(done.stdout.split()[-1])
+    seconds, kib = done.stdout.split()[-2:]
+    return float(seconds), int(kib)
 
 
 def growth_exponent(orders, times):
@@ -141,10 +145,8 @@ def main(argv=None):
         parser.error("--runs and every order must be at least 1")
 
     orders = sorted(set(args.orders))
-    medians = [
-        statistics.median(time_once(args.src, args.op, n) for _ in range(args.runs))
-        for n in orders
-    ]
+    runs = [[time_once(args.src, args.op, n) for _ in range(args.runs)] for n in orders]
+    medians = [statistics.median(t for t, _ in per_order) for per_order in runs]
     slope = growth_exponent(orders, medians)
     print(json.dumps({
         "op": args.op,
@@ -153,6 +155,7 @@ def main(argv=None):
         "runs": args.runs,
         "orders": orders,
         "median_s": [round(t, 6) for t in medians],
+        "peak_rss_kib": [max(kib for _, kib in per_order) for per_order in runs],
         "growth_exp": None if slope is None else round(slope, 2),
     }))
 

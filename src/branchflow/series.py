@@ -48,10 +48,6 @@ class TruncationError(SeriesError):
     """Operation needs a finite truncation window it was not given."""
 
 
-class PoleError(SeriesError):
-    """Antiderivative of a series with a z^-1 term."""
-
-
 def _coerce(value):
     if type(value) is Rational:  # immutable, so shared as it is
         return value
@@ -446,16 +442,6 @@ class GradedSeries:
             if e != 0:
                 out[e - 1] = c * e
         prec = None if self.prec is None else self.prec - 1
-        return GradedSeries(self.direction, out, prec)
-
-    def antiderivative(self):
-        """Termwise antiderivative with integration constant 0."""
-        if not self.known(-1):
-            raise TruncationError("window does not cover z^-1; cannot certify integrability")
-        if self.coeffs.get(-1):
-            raise PoleError("antiderivative of a series with a z^-1 term")
-        out = {e + 1: c / (e + 1) for e, c in self.coeffs.items()}
-        prec = None if self.prec is None else self.prec + 1
         return GradedSeries(self.direction, out, prec)
 
     # --- substitution ------------------------------------------------------

@@ -8,9 +8,13 @@ A QPoly is Python-int numerators over one positive denominator, canonical (no
 zero numerator, gcd(den, numerators) = 1), and each operation normalises its
 result once.  An operator is its image of one monomial, read off the sums as
 integer weights over a denominator fixed per operator: 2 for L_m, 1 for alpha_n
-and d_j, and in exp_op_apply the lcm of the c_i op_i denominators.  So no
+and d_j, and in exp_op the lcm of the c_i op_i denominators.  So no
 Rational is built per product; ``QPoly.terms`` builds them when read.  Weight
 (the sum of q-indices of a monomial) is the grading: L_m lowers it by m.
+
+The only memo of images that outlives one polynomial lives in the callable
+exp_op returns and dies with it: verify_factorization holds three of them (in
+factorization_sides) for one check, and drops them when it returns.
 """
 
 from __future__ import annotations
@@ -406,29 +410,42 @@ def check_grading(m: int, corpus, order=None) -> VerificationReport:
 # --- exponentials and the factorization -----------------------------------------
 
 
-def exp_op_apply(ops, p: QPoly) -> QPoly:
-    """exp(sum c_i op_i) p for weight-lowering op_i; the sum terminates exactly."""
+def exp_op(ops):
+    """exp(sum c_i op_i) for weight-lowering op_i, as a callable on QPolys.
+
+    sum c_i op_i is one operator: the weighted union of the monomial images,
+    with integer weights over the lcm of the c_i op_i denominators.  Its image
+    of each monomial is built once and memoised for as long as the returned
+    callable lives.  The Taylor sum terminates exactly and is summed once."""
     for _, op in ops:
         if op.delta is None:
             raise ValueError(f"{op.name} has no uniform weight shift; exponential undefined")
         if op.delta >= 0:
             raise ValueError(f"{op.name} does not lower weight; exponential diverges")
-    # sum c_i op_i is one operator: the weighted union of the monomial images,
-    # with integer weights over the lcm of the c_i op_i denominators
     den = reduce(lcm, (c.denominator * op.den for c, op in ops), 1)
     scaled = [(c.numerator * (den // (c.denominator * op.den)), op) for c, op in ops]
     name = "+".join(op.name for _, op in ops)
 
+    @cache
     def image(key):
         return [(ikey, f * w) for f, op in scaled for ikey, w in op.image(key)]
 
-    acc = term = p
-    n = 1
-    while not term.is_zero():
-        term = LinearOp(name, None, image, den * n)(term)  # the 1/n rides on den
-        acc = acc + term
-        n += 1
-    return acc
+    def apply(p: QPoly) -> QPoly:
+        terms, term, n = [(1, p)], p, 1
+        while not term.is_zero():
+            term = LinearOp(name, None, image, den * n)(term)  # the 1/n rides on den
+            terms.append((1, term))
+            n += 1
+        return _combine(terms)
+
+    return apply
+
+
+def exp_op_apply(ops, p: QPoly) -> QPoly:
+    """exp(sum c_i op_i) p for weight-lowering op_i; the sum terminates exactly.
+    ``ops`` lists the (c_i, op_i), or is an exponential that exp_op built, whose
+    memoised images then serve every polynomial it is applied to."""
+    return (ops if callable(ops) else exp_op(ops))(p)
 
 
 def factorization_sides(weight_bound: int, l_values=None, b_values=None):
@@ -456,17 +473,15 @@ def factorization_sides(weight_bound: int, l_values=None, b_values=None):
 
         return LinearOp(f"L[{2*m}]-{shift}d[{shift}]", -2 * m, image, L.den)
 
-    lhs_ops = [(l_values[m - 1], combined(m)) for m in range(1, m_max + 1)]
-    l_ops = [(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)]
-    shift_ops = [
-        (-b_values[2 * k], make_d(2 * k + 3)) for k in range(1, k_max + 1)
-    ]
+    lhs_exp = exp_op([(l_values[m - 1], combined(m)) for m in range(1, m_max + 1)])
+    l_exp = exp_op([(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)])
+    shift_exp = exp_op([(-b_values[2 * k], make_d(2 * k + 3)) for k in range(1, k_max + 1)])
 
     def lhs(p):
-        return exp_op_apply(lhs_ops, p)
+        return exp_op_apply(lhs_exp, p)
 
     def rhs(p):
-        return exp_op_apply(l_ops, exp_op_apply(shift_ops, p))
+        return exp_op_apply(l_exp, exp_op_apply(shift_exp, p))
 
     return lhs, rhs
 
@@ -545,8 +560,14 @@ def kw_residual(F: QPoly, m: int, top=None) -> QPoly:
     e^{-F} d_a d_b e^{F} = d_a d_b F + d_a F d_b F, so the residual is L_{2m} F
     plus the bilinear terms (ab/2) d_a F d_b F, minus (2m+3) d_{2m+3} F.  A
     product of weight parts of d_a F and d_b F whose weights sum past ``top``
-    is not built.
+    is not built.  m < 1 is refused: L_0 adds the dilaton constant -1/8, and
+    the multiplication part q_1^2/2 of L_{-2} acts on 1, not on F.
     """
+    if m < 1:
+        raise ValueError(
+            f"m={m}: only the constraints m >= 1 are checked; L_0 adds a dilaton "
+            "constant and the multiplication part of L_-2 acts on 1, not on F"
+        )
     two_m = 2 * m
     dF = {a: F.derivative(a).weight_parts() for a in range(1, two_m)}
     bilinear = [

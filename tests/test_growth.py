@@ -44,3 +44,5 @@ def test_times_each_order_in_a_fresh_interpreter(op):
     assert out["orders"] == [4, 8]
     assert len(out["median_s"]) == 2 and all(t > 0 for t in out["median_s"])
     assert isinstance(out["growth_exp"], float)
+    assert len(out["peak_rss_kib"]) == 2
+    assert all(isinstance(k, int) and k > 1024 for k in out["peak_rss_kib"])

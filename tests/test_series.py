@@ -13,7 +13,6 @@ from branchflow.series import (
     DirectionMismatchError,
     GradedSeries,
     LeadingTermError,
-    PoleError,
     SeriesError,
     SubstitutionError,
     TruncationError,
@@ -254,22 +253,6 @@ def test_derivative_basics():
     assert asc({3: 1}).derivative().coeffs == {2: rational(3)}
     s = asc({1: 1}, prec=5).derivative()
     assert s.prec == 4
-
-
-def test_antiderivative_pole_and_round_trip():
-    with pytest.raises(PoleError):
-        desc({-1: 1}, prec=-3).antiderivative()
-    zk = asc({2: 1, 4: rational(1, 36)}, prec=6)
-    integral = zk.antiderivative()
-    assert integral.coefficient(3) == rational(1, 3)
-    assert integral.coefficient(5) == rational(1, 180)
-    assert integral.derivative() == zk
-
-
-@given(unit_series)
-@settings(max_examples=60)
-def test_derivative_of_antiderivative(g):
-    assert g.antiderivative().derivative() == g
 
 
 # --- composition and reversion --------------------------------------------------

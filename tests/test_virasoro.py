@@ -27,6 +27,7 @@ from branchflow import (
     commutator,
     corpus_monomials,
     default_corpus,
+    exp_op,
     exp_op_apply,
     kw_residual,
     load_fk_fixture,
@@ -229,6 +230,39 @@ def test_operators_match_defining_sums_and_stay_canonical(p, q, c):
     results.append(exp_op_apply(ops, p))
     assert results[-1] == ref_exp(total, p.terms)
     assert all(is_canonical(r) for r in results)
+
+
+@given(st.lists(qpolys, min_size=2, max_size=5), small_rationals)
+@settings(max_examples=40)
+def test_one_exponential_serves_many_polynomials(ps, c):
+    # the memoised images of one exponential must not bend any later result
+    exp = exp_op([(c, make_L(2)), (R(-1, 5), make_d(3))])
+
+    def total(idx):
+        return [(r, c * w) for r, w in ref_L(2, idx)] + [
+            (r, R(-1, 5) * w) for r, w in ref_d(idx, 3)
+        ]
+
+    for p in ps:
+        assert exp_op_apply(exp, p) == ref_exp(total, p.terms)
+
+
+def test_exponential_builds_each_monomial_image_once():
+    calls = Counter()
+    L1 = make_L(1)
+
+    def image(key):
+        calls[key] += 1
+        return L1.image(key)
+
+    counted = [(R(1, 2), LinearOp("L[1]", -1, image, 2))]
+    corpus = corpus_monomials(6)
+    exp = exp_op(counted)
+    results = [exp(p) for p in corpus]
+    assert calls and set(calls.values()) == {1}
+    # a list of pairs builds a fresh exponential per call, with the same results
+    assert results == [exp_op_apply(counted, p) for p in corpus]
+    assert max(calls.values()) > 2
 
 
 @given(qpolys, qpolys, small_rationals)
@@ -554,7 +588,7 @@ def test_factorization_scan_passes():
     assert report.order == 9
 
 
-@pytest.mark.parametrize("weight", range(1, 11))
+@pytest.mark.parametrize("weight", range(1, 15))
 def test_factorization_passes_at_every_weight(weight):
     # weights 2..4 leave no shift operator; the right-hand side must still
     # apply exp(sum l_m L_2m)
@@ -579,6 +613,19 @@ def test_factorization_reports_a_perturbed_b3():
     assert report.first_mismatch.exponent == 0
     assert report.first_mismatch.lhs == "-1/36"
     assert report.first_mismatch.rhs == "-43/252"
+
+
+def test_factorization_memo_lives_for_one_check():
+    # each check builds its own exponentials: a perturbed b_3 between two
+    # passing checks fails alone, and leaves no image behind for the next
+    assert verify_factorization(9).status == PASS
+    b_values = list(coeffs_b(7).values)
+    b_values[2] += R(1, 7)
+    report = verify_factorization(9, b_values=b_values)
+    assert report.status == FAIL
+    assert report.first_mismatch.exponent == 0
+    assert report.first_mismatch.lhs == "-1/36"
+    assert verify_factorization(9).status == PASS
 
 
 # --- the fixture ---------------------------------------------------------------
@@ -685,6 +732,17 @@ def test_kw_constraints_report_a_perturbed_fixture_file(tmp_path, m, order, expo
     assert report.first_mismatch.exponent == exponent
     assert report.first_mismatch.lhs == lhs
     assert report.first_mismatch.rhs == "0"
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_kw_constraints_refuse_m_below_one(m):
+    # L_0 carries the dilaton constant and L_-2 a multiplication part that acts
+    # on 1; the residual formula covers neither, so both refuse with the reason
+    F, _ = load_fk_fixture()
+    with pytest.raises(ValueError, match=rf"m={m}: only the constraints m >= 1"):
+        kw_residual(F, m)
+    with pytest.raises(ValueError, match=rf"m={m}: only the constraints m >= 1"):
+        verify_kw_constraints(m)
 
 
 def test_kw_constraints_reject_short_fixture():

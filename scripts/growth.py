@@ -11,7 +11,8 @@ and times only the operation itself with ``time.perf_counter``.  The last
 stdout line is one JSON object: the median time per order, the exponent of
 the least-squares line through (log order, log time), and the largest peak
 RSS per order (``ru_maxrss`` of the interpreters, KiB), so that a trade of
-memory for time shows next to its fit.  For the operator ops the order is the
+memory for time shows next to its fit, and the line count of the
+``branchflow`` package it timed (``src_lines``).  For the operator ops the order is the
 weight bound of the q-polynomial corpus: ``vir_scan`` times one commutator
 cell, ``vir_grid`` the CLI's whole -5..5 scan (its corpus adds a seeded sample
 up to weight 12, so fit it from 12 up), and ``factorization`` the
@@ -22,6 +23,7 @@ checkout, so one harness times both sides of a change.  Stdlib only.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -123,6 +125,15 @@ def time_once(src, op, n):
     return float(seconds), int(kib)
 
 
+def src_lines(src):
+    """Lines in the ``branchflow`` modules under ``src``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "branchflow", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def growth_exponent(orders, times):
     """Slope of the least-squares line through (log order, log time)."""
     if len(orders) < 2:
@@ -157,6 +168,7 @@ def main(argv=None):
         "median_s": [round(t, 6) for t in medians],
         "peak_rss_kib": [max(kib for _, kib in per_order) for per_order in runs],
         "growth_exp": None if slope is None else round(slope, 2),
+        "src_lines": src_lines(args.src),
     }))
 
 

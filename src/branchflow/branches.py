@@ -35,11 +35,11 @@ class BranchCoeffs:
 class _Recurrence:
     """t_1, t_2, ... of ``(n+1) t_n = rest(n) - sum_{k=2}^{n-1} k t_k t_{n+1-k}``.
 
-    Besides the Rationals ``values``, the table keeps integer numerators
-    ``nums`` over one common denominator ``den`` (a :class:`Row` keyed 0, 1,
-    ...), so each step sums its convolution in Python ints (the terms ``k`` and
-    ``n+1-k`` pair to ``(n+1) N_k N_{n+1-k}``) and reduces one Rational.
-    ``rest(nums, den)`` is the numerator of ``rest(n)`` over ``den^2``.
+    Besides the Rationals ``values``, the table keeps them as a :class:`Row`
+    keyed 0, 1, ..., integer numerators over one common denominator, so each
+    step sums its convolution in Python ints (the terms ``k`` and ``n+1-k``
+    pair to ``(n+1) N_k N_{n+1-k}``) and reduces one Rational.  ``rest(nums,
+    den)`` is the numerator of ``rest(n)`` over ``den^2``.
     """
 
     def __init__(self, t2, rest):
@@ -47,20 +47,17 @@ class _Recurrence:
         self.row = Row(dict(enumerate(self.values)))
         self.rest = rest
 
-    nums = property(lambda self: list(self.row.nums.values()))
-    den = property(lambda self: self.row.den)
-
     def __call__(self, order: int) -> tuple:
         vals, row = self.values, self.row
         while len(vals) < order:
             n = len(vals) + 1
-            nums, d = row.nums, row.den
+            nums, d = row._num, row._den
             conv = (n + 1) * sum(nums[k - 1] * nums[n - k] for k in range(2, n // 2 + 1))
             if n % 2:
                 m = (n + 1) // 2
                 conv += m * nums[m - 1] ** 2
             value = Rational(self.rest(nums, d) - conv, d * d * (n + 1))
-            row.put(n - 1, value)
+            row._put(n - 1, value)
             vals.append(value)
         return tuple(vals[:order])
 
@@ -100,22 +97,6 @@ def oracle_c(order: int) -> BranchCoeffs:
     b = (2 * (1 - r)).sqrt()
     mu = a.revert().compose(b)
     return BranchCoeffs("c", tuple(mu.coefficient(i) for i in range(1, order + 1)))
-
-
-def series_v(order: int) -> GradedSeries:
-    bs = coeffs_b(order)
-    return GradedSeries(
-        ASCENDING, {0: ONE, **{i: bs[i] for i in range(1, order + 1)}}, prec=order + 1
-    )
-
-
-def series_u(order: int) -> GradedSeries:
-    bs = coeffs_b(order)
-    return GradedSeries(
-        ASCENDING,
-        {0: ONE, **{i: (-1) ** i * bs[i] for i in range(1, order + 1)}},
-        prec=order + 1,
-    )
 
 
 def series_K(order: int) -> GradedSeries:

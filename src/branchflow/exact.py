@@ -1,15 +1,19 @@
-"""Exact rational arithmetic plus shared integer tables.
+"""Exact rational arithmetic, the one coefficient layout, and shared integer tables.
 
 Everything downstream assumes coefficients form an exact field: no floats
 anywhere in the computational path.  ``Rational`` is the stdlib Fraction.
-The hot loops do not build one per term: :class:`Row` keeps a row of them as
-Python-int numerators over one denominator (FLINT's ``fmpq_poly`` layout), so
-a sum of products runs in ints and builds one Rational for its result.
+Every row of coefficients -- a series keyed by exponent, a q-polynomial keyed
+by monomial -- is a :class:`Row`: Python-int numerators over one positive
+denominator (FLINT's ``fmpq_poly`` layout), canonical: no zero numerator and
+``gcd(den, *nums) = 1``.  So equal values have equal rows, the denominator is
+the lcm of the reduced ones, sums of products run in ints, and a Rational is
+built only where a row is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 Rational = Fraction
@@ -32,25 +36,83 @@ def rational_str(value) -> str:
 
 
 class Row:
-    """Rationals ``{key: value}`` as int numerators ``nums`` over one ``den`` > 0.
+    """Rationals ``{key: value}`` as int numerators ``_num`` over one ``_den`` > 0.
 
-    ``put`` raises ``den`` to the lcm with a new value's denominator only when
-    the value needs it, and then rescales the numerators in place."""
+    ``_canon`` and ``_combine`` return canonical rows of the class they are
+    called on; a scratch row grown by ``_put`` may hold zeros until then."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, values: dict):
-        self.den = den = math.lcm(*(v.denominator for v in values.values()))
-        self.nums = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self._den = den = math.lcm(*(v.denominator for v in values.values()))
+        self._num = {k: v.numerator * (den // v.denominator) for k, v in values.items() if v}
 
-    def put(self, key, value) -> None:
-        q, den = value.denominator, self.den
+    @classmethod
+    def _of(cls, num: dict, den: int):
+        """Wraps numerators over a denominator that are already canonical."""
+        row = object.__new__(cls)
+        row._num, row._den = num, den
+        return row
+
+    @classmethod
+    def _canon(cls, num: dict, den: int):
+        """The canonical row of the numerators ``num`` over ``den`` > 0."""
+        try:
+            g = math.gcd(den, *num.values())  # a zero numerator leaves the gcd as it is
+        except TypeError:  # Rational numerators (a hand-built operator image): lift them
+            lift = math.lcm(*(v.denominator for v in num.values()))
+            num, den = {k: int(v * lift) for k, v in num.items()}, den * lift
+            g = math.gcd(den, *num.values())
+        return cls._of({k: v // g for k, v in num.items() if v}, den // g)
+
+    @classmethod
+    def _combine(cls, pairs):
+        """sum c r over (rational c, row r) pairs, over the lcm of the c r denominators."""
+        den = math.lcm(*(c.denominator * r._den for c, r in pairs))
+        out: dict = {}
+        get = out.get
+        for c, r in pairs:
+            f = c.numerator * (den // (c.denominator * r._den))
+            for key, num in r._num.items():
+                out[key] = get(key, 0) + f * num
+        return cls._canon(out, den)
+
+    def _put(self, key, value) -> None:
+        """Sets ``key`` to the Rational ``value``; ``_den`` rises to the lcm with
+        its denominator, rescaling the numerators, only when the value needs it."""
+        q, den = value.denominator, self._den
         if den % q:
-            self.den = math.lcm(den, q)
-            scale, den, nums = self.den // den, self.den, self.nums
+            self._den = math.lcm(den, q)
+            scale, den, nums = self._den // den, self._den, self._num
             for k in nums:
                 nums[k] *= scale
-        self.nums[key] = value.numerator * (den // q)
+        self._num[key] = value.numerator * (den // q)
+
+    @property
+    def terms(self) -> Mapping:
+        """The read-only ``{key: Rational}`` view."""
+        return _Terms(self._num, self._den)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self._den == other._den and self._num == other._num
+
+    __hash__ = None
+
+
+class _Terms(Mapping):
+    """Read-only {key: Rational} view of a row; len and keys read the numerators."""
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, key):
+        return Rational(self._num[key], self._den)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
 
 
 def factorial(n: int) -> int:

@@ -81,35 +81,35 @@ class FlowCoeffs:
         return GradedSeries(DESCENDING, coeffs, prec=exps[-1])
 
 
-def _flow_fill(G: dict, T0: dict, top: int, solve=()) -> dict:
-    """Sum T_0 = T0, T_j = G T_{j-1}' / j at each depth w = -exponent below top.
+def _flow_fill(g: Row, t0: Row, top: int, solve=()) -> Row:
+    """Sum T_0 = t0, T_j = G T_{j-1}' / j at each depth w = -exponent below top.
 
     T_j at depth w reads T_{j-1} only at smaller depths, so all terms fill
     together, depth by depth (relaxed evaluation, van der Hoeven 2002).  With
-    ``solve`` (depth -> coefficient) and T0 = z, G is set at those depths so
-    the terms sum to the coefficient; T_1 = G alone reads it there.  G and each
-    T_j' are int numerators over a running denominator (:class:`Row`), so a
-    term's convolution runs in ints and builds one Rational."""
-    w0 = min(T0)
-    g = Row(G)
-    derivs = [Row({w + 1: -w * c for w, c in T0.items()})]  # T_j' at w + 1 is -w T_j at w
-    total = {}
-    for w in range(w0, top):
-        derivs.append(Row({}))  # T_{w-w0+1}', which starts at depth w + 2
-        s = T0.get(w, ZERO)
-        for j in range(1, w - w0 + 1):
-            below = derivs[j - 1].nums
-            t = sum(ga * below.get(w - a, 0) for a, ga in g.nums.items())
+    ``solve`` (exponent -> coefficient) and T0 = z, G is set at those exponents
+    so the terms sum to the coefficient; T_1 = G alone reads it there.  G, T_0,
+    each T_j' and the sum are rows keyed by exponent, so a term's convolution
+    runs in ints and builds one Rational; the sum may hold zeros."""
+    e0 = max(t0._num)
+    derivs = [Row._of({e - 1: e * n for e, n in t0._num.items()}, t0._den)]
+    total = Row._of({}, 1)
+    for e in range(e0, -top, -1):
+        derivs.append(Row._of({}, 1))  # T_{e0-e+1}', which starts at z^(e-2)
+        s = Rational(t0._num.get(e, 0), t0._den)
+        for j in range(1, e0 - e + 1):
+            below = derivs[j - 1]
+            bn = below._num
+            t = sum(ga * bn.get(e - a, 0) for a, ga in g._num.items())
             if t:
-                t = Rational(t, g.den * derivs[j - 1].den * j)
+                t = Rational(t, g._den * below._den * j)
                 s += t
-                derivs[j].put(w + 1, -w * t)
-        if w in solve:
-            G[w] = solve[w] - s
-            g.put(w, G[w])
-            derivs[1].put(w + 1, -w * G[w])
-            s = solve[w]
-        total[w] = s
+                derivs[j]._put(e - 1, e * t)  # T_j' = e T_j z^(e-1)
+        if e in solve:
+            ge = solve[e] - s
+            g._put(e, ge)
+            derivs[1]._put(e - 1, e * ge)
+            s = solve[e]
+        total._put(e, s)
     return total
 
 
@@ -124,12 +124,11 @@ def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:
     if target.is_zero() or (d.prec is None and d.is_zero()):
         return target
     # a product stands in the window edge for the lead of a factor with no known term
-    top = gen.wprec + (d.wlead if d.coeffs else d.wprec)
+    top = gen.wprec + (d.wprec if d.is_zero() else d.wlead)
     if target.prec is not None:
         top = min(top, target.wprec)
-    G = {-e: c for e, c in gen.coeffs.items()}
-    total = _flow_fill(G, {-e: c for e, c in target.coeffs.items()}, top)
-    return GradedSeries(DESCENDING, {-w: c for w, c in total.items()}, prec=-top)
+    total = _flow_fill(gen._row, target._row, top)
+    return GradedSeries._cut(DESCENDING, Row._canon(total._num, total._den), top)
 
 
 def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> FlowCoeffs:
@@ -149,17 +148,17 @@ def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> Fl
         count = 0
         while p(count + 1) > target.prec:
             count += 1
-    wanted: dict = {}  # depth -p(k) -> target coefficient
+    wanted: dict = {}  # exponent p(k) -> target coefficient
     prev = 1
     for k in range(1, count + 1):
         pk = p(k)
         if pk > 0 or pk >= prev:
             raise SeriesError("exponent law must lower the order strictly")
-        wanted[-pk] = target.coefficient(pk)
+        wanted[pk] = target.coefficient(pk)
         prev = pk
-    G: dict = {}
-    _flow_fill(G, {-1: ONE}, 1 - prev, solve=wanted)
-    return FlowCoeffs(tuple(sign * G[w] for w in wanted), law, sign)
+    g = Row._of({}, 1)
+    _flow_fill(g, GradedSeries.identity(DESCENDING)._row, 1 - prev, solve=wanted)
+    return FlowCoeffs(tuple(sign * g.terms[e] for e in wanted), law, sign)
 
 
 # --- named series -------------------------------------------------------------

@@ -12,10 +12,13 @@ from the depths of its inputs, so a coefficient read through
 :meth:`GradedSeries.coefficient` is either exact or an error -- never a
 silently wrong tail value.
 
-Internally order bookkeeping uses ``w = exponent`` for ascending and
-``w = -exponent`` for descending series, which makes the two directions
-share one code path: terms get *smaller* as ``w`` grows, and the unknown
-region is always ``w >= wprec``.
+The coefficients are one :class:`~branchflow.exact.Row` keyed by exponent,
+the layout that module describes; ``coeffs`` is its read-only view, so a
+series, like every series the caches hand out, cannot be changed in place.
+Window bookkeeping uses ``w = exponent`` for ascending and ``w = -exponent``
+for descending series, which makes the two directions share one code path:
+terms get *smaller* as ``w`` grows, and the unknown region is always
+``w >= wprec``.
 """
 
 from __future__ import annotations
@@ -56,21 +59,26 @@ def _coerce(value):
     return rational(value)
 
 
+def _check_int(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 class GradedSeries:
-    __slots__ = ("direction", "coeffs", "prec")
+    __slots__ = ("direction", "_row", "prec")
 
     def __init__(self, direction, coeffs=None, prec=None):
         if direction not in (ASCENDING, DESCENDING):
             raise SeriesError(f"unknown direction {direction!r}")
         if prec is not None:
-            prec = int(prec)
+            _check_int(prec, "prec")
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
+                _check_int(e, "an exponent")
                 c = _coerce(c)
                 if c == 0:
                     continue
-                e = int(e)
                 if prec is not None:
                     inside = e < prec if direction == ASCENDING else e > prec
                     if not inside:
@@ -79,7 +87,7 @@ class GradedSeries:
                         )
                 clean[e] = c
         self.direction = direction
-        self.coeffs = clean
+        self._row = Row(clean)
         self.prec = prec
 
     # --- constructors -------------------------------------------------
@@ -101,17 +109,20 @@ class GradedSeries:
         return cls(direction, {1: 1}, prec)
 
     @classmethod
-    def _of(cls, direction, coeffs, prec):
-        """Wraps Rationals that are already nonzero and inside the window."""
+    def _cut(cls, direction, row, wprec):
+        """Wraps the canonical ``row``, keyed by exponent, with its terms at
+        ``w >= wprec`` dropped."""
+        sign = 1 if direction == ASCENDING else -1
+        if wprec is not None and any(sign * e >= wprec for e in row._num):
+            row = Row._canon({e: n for e, n in row._num.items() if sign * e < wprec}, row._den)
         g = object.__new__(cls)
-        g.direction, g.coeffs, g.prec = direction, coeffs, prec
+        g.direction, g._row, g.prec = direction, row, None if wprec is None else sign * wprec
         return g
 
-    @classmethod
-    def _from_w(cls, direction, wcoeffs, wprec):
-        sign = 1 if direction == ASCENDING else -1
-        prec = None if wprec is None else sign * wprec
-        return cls(direction, {sign * w: c for w, c in wcoeffs.items()}, prec)
+    @property
+    def coeffs(self):
+        """The read-only ``{exponent: Rational}`` view of the known terms."""
+        return self._row.terms
 
     # --- window bookkeeping (w-space) ---------------------------------
 
@@ -126,9 +137,10 @@ class GradedSeries:
 
     @property
     def wlead(self):
-        if not self.coeffs:
+        num = self._row._num
+        if not num:
             return None
-        return min(map(self._w, self.coeffs))
+        return min(num) if self.direction == ASCENDING else -max(num)
 
     @property
     def lead(self):
@@ -147,11 +159,11 @@ class GradedSeries:
         """Tracked orders beyond the leading term (None if exact)."""
         if self.prec is None:
             return None
-        base = self.wlead if self.coeffs else 0
+        base = self.wlead if self._row._num else 0
         return self.wprec - base - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._row._num
 
     def known(self, exponent) -> bool:
         wp = self.wprec
@@ -162,14 +174,14 @@ class GradedSeries:
             raise TruncationError(
                 f"coefficient at z^{exponent} is beyond the known window (prec={self.prec})"
             )
-        return self.coeffs.get(exponent, ZERO)
+        num = self._row._num.get(exponent)
+        return ZERO if num is None else Rational(num, self._row._den)
 
     def support(self):
-        return sorted(self.coeffs, key=self._w)
+        return sorted(self._row._num, key=self._w)
 
     def truncate(self, prec):
-        wp = prec if self.direction == ASCENDING else -prec
-        return self._truncate_w(wp)
+        return self._truncate_w(self._w(prec))
 
     def _truncate_w(self, wp):
         if wp is None:
@@ -181,8 +193,7 @@ class GradedSeries:
             )
         if cur is not None and wp == cur:
             return self
-        kept = {e: c for e, c in self.coeffs.items() if self._w(e) < wp}
-        return GradedSeries._from_w(self.direction, {self._w(e): c for e, c in kept.items()}, wp)
+        return GradedSeries._cut(self.direction, self._row, wp)
 
     # --- comparison / display -----------------------------------------
 
@@ -192,7 +203,7 @@ class GradedSeries:
         return (
             self.direction == other.direction
             and self.prec == other.prec
-            and self.coeffs == other.coeffs
+            and self._row == other._row
         )
 
     __hash__ = None
@@ -205,7 +216,7 @@ class GradedSeries:
                 terms.append(rational_str(c))
             else:
                 terms.append(f"{rational_str(c)}*z^{e}")
-        if len(self.coeffs) > 10:
+        if len(self._row._num) > 10:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
         tail = "" if self.prec is None else f" + O(z^{self.prec})"
@@ -226,40 +237,18 @@ class GradedSeries:
         wp = self.wprec
         if wp is not None and wp <= 0:
             raise TruncationError("constant term lies beyond the known window")
-        out = dict(self.coeffs)
-        s = out.get(0, ZERO) + value
-        if s == 0:
-            out.pop(0, None)
-        else:
-            out[0] = s
-        return GradedSeries(self.direction, out, self.prec)
+        return _sum(self.direction, ((1, self), (value, GradedSeries.constant(1, self.direction))))
 
     def __add__(self, other):
         if not isinstance(other, GradedSeries):
             return self._add_scalar(other)
         self._check_direction(other)
-        wa, wb = self.wprec, other.wprec
-        if wa is None:
-            wp = wb
-        elif wb is None:
-            wp = wa
-        else:
-            wp = min(wa, wb)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, ZERO) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        if wp is not None:
-            out = {e: c for e, c in out.items() if self._w(e) < wp}
-        return GradedSeries._from_w(self.direction, {self._w(e): c for e, c in out.items()}, wp)
+        return _sum(self.direction, ((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedSeries(self.direction, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        return _sum(self.direction, ((-1, self),))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, GradedSeries) else -_coerce(other))
@@ -272,31 +261,26 @@ class GradedSeries:
         if value == 0:
             # an exact zero factor annihilates the unknown tail as well
             return GradedSeries.zero(self.direction)
-        return GradedSeries(
-            self.direction, {e: c * value for e, c in self.coeffs.items()}, self.prec
-        )
+        return _sum(self.direction, ((value, self),))
 
     def __mul__(self, other):
         if not isinstance(other, GradedSeries):
             return self._scale(other)
         self._check_direction(other)
-        if (self.prec is None and not self.coeffs) or (other.prec is None and not other.coeffs):
+        ra, rb = self._row, other._row
+        if (self.prec is None and not ra._num) or (other.prec is None and not rb._num):
             return GradedSeries.zero(self.direction)
         wpa, wpb = self.wprec, other.wprec
         # a lead stand-in of wprec for a window of zeros keeps the rule sound
-        wla = self.wlead if self.coeffs else wpa
-        wlb = other.wlead if other.coeffs else wpb
+        wla = self.wlead if ra._num else wpa
+        wlb = other.wlead if rb._num else wpb
         wp = min((e + lead for e, lead in ((wpa, wlb), (wpb, wla)) if e is not None), default=None)
-        # int numerators over the lcm of each factor's denominators
-        ra, rb = Row(self.coeffs), Row(other.coeffs)
         sign, out = (1 if self.direction == ASCENDING else -1), {}
-        for ea, ca in ra.nums.items():
-            for eb, cb in rb.nums.items():
+        for ea, ca in ra._num.items():
+            for eb, cb in rb._num.items():
                 if wp is None or sign * (ea + eb) < wp:
                     out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-        den, prec = ra.den * rb.den, None if wp is None else sign * wp
-        coeffs = {e: Rational(c, den) for e, c in out.items() if c}
-        return GradedSeries._of(self.direction, coeffs, prec)
+        return GradedSeries._cut(self.direction, Row._canon(out, ra._den * rb._den), wp)
 
     __rmul__ = __mul__
 
@@ -313,33 +297,38 @@ class GradedSeries:
         delta = int(delta)
         if delta == 0:
             return self
-        prec = None if self.prec is None else self.prec + delta
-        return GradedSeries(
-            self.direction, {e + delta: c for e, c in self.coeffs.items()}, prec
-        )
+        row = Row._of({e + delta: n for e, n in self._row._num.items()}, self._row._den)
+        wp = self.wprec
+        return GradedSeries._cut(self.direction, row, None if wp is None else wp + self._w(delta))
 
     def invert_variable(self):
-        """Substitute z -> 1/z, flipping the truncation direction."""
+        """Substitute z -> 1/z, flipping the truncation direction; w is unchanged."""
         direction = DESCENDING if self.direction == ASCENDING else ASCENDING
-        prec = None if self.prec is None else -self.prec
-        return GradedSeries(direction, {-e: c for e, c in self.coeffs.items()}, prec)
+        row = Row._of({-e: n for e, n in self._row._num.items()}, self._row._den)
+        return GradedSeries._cut(direction, row, self.wprec)
 
     # --- multiplicative structure ---------------------------------------
 
     def reciprocal(self):
-        if not self.coeffs:
+        if self.is_zero():
             raise LeadingTermError("reciprocal of a series with no known leading term")
         wp = self.wprec
         if wp is None:
             raise TruncationError("reciprocal does not terminate on exact input; truncate() first")
-        L = self.wlead
-        cl = self.coeffs[self.lead]
-        # 1/(cl + s) with s the rest, supported on relative w >= 1
-        s = sorted((self._w(e) - L, c) for e, c in self.coeffs.items() if e != self.lead)
-        inv = _first_order(s, wp - L, -1, 1, q=cl, head=ONE / cl)
-        return GradedSeries._from_w(
-            self.direction, {k - L: c for k, c in enumerate(inv)}, wp - 2 * L
-        )
+        # 1/(cl + s) with s the rest, over the row's denominator D: D/(n_L + D s)
+        L, den, nl = self.wlead, self._row._den, self._row._num[self.lead]
+        inv = _first_order(self._rest(), wp - L, -1, 1, nl, Rational(den, nl))
+        return self._placed(inv, -L, wp - 2 * L)
+
+    def _rest(self):
+        """The numerators after the lead, keyed by w relative to it, ascending."""
+        L, lead = self.wlead, self.lead
+        return dict(sorted((self._w(e) - L, n) for e, n in self._row._num.items() if e != lead))
+
+    def _placed(self, g, wlead, wprec):
+        """The series of the row ``g``, keyed by w relative to ``wlead``."""
+        row = Row._canon({self._w(k + wlead): n for k, n in g._num.items()}, g._den)
+        return GradedSeries._cut(self.direction, row, wprec)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -370,7 +359,7 @@ class GradedSeries:
         r = rational(exponent)
         if r.denominator == 1:
             return self ** int(r)
-        if not self.coeffs:
+        if self.is_zero():
             raise LeadingTermError("rational power of a series with no known leading term")
         wp = self.wprec
         if wp is None:
@@ -385,12 +374,9 @@ class GradedSeries:
             raise LeadingTermError(
                 f"exponent {r} * leading exponent {e0} is not an integer"
             )
-        L = self.wlead
-        s = sorted((self._w(e) - L, c) for e, c in self.coeffs.items() if e != e0)
-        depth = wp - L
-        out = _first_order(s, depth, r.numerator, r.denominator, r.denominator)
-        rel = GradedSeries._from_w(self.direction, dict(enumerate(out)), depth)
-        return rel.shift(int(shift_exp))
+        L, q, lead = self.wlead, r.denominator, self._w(int(shift_exp))
+        out = _first_order(self._rest(), wp - L, r.numerator, q, q * self._row._den)
+        return self._placed(out, lead, wp - L + lead)
 
     def sqrt(self):
         return self.pow(Rational(1, 2))
@@ -404,7 +390,7 @@ class GradedSeries:
         ``e_k = (1/k) sum_{j=1..k} j s_j e_(k-j)`` (:func:`_first_order`).
         ``e_k`` reads only ``s_1 .. s_k``, so every ``w < wprec`` is exact.
         """
-        if not self.coeffs:
+        if self.is_zero():
             return GradedSeries.constant(1, self.direction)._truncate_w(self.wprec)
         if self.wlead < 1:
             raise LeadingTermError(
@@ -413,8 +399,8 @@ class GradedSeries:
         wp = self.wprec
         if wp is None:
             raise TruncationError("exp does not terminate on exact input; truncate() first")
-        s = sorted((self._w(e), c) for e, c in self.coeffs.items())
-        return GradedSeries._from_w(self.direction, dict(enumerate(_first_order(s, wp, 1, 0))), wp)
+        s = dict(sorted((self._w(e), n) for e, n in self._row._num.items()))
+        return self._placed(_first_order(s, wp, 1, 0, self._row._den), 0, wp)
 
     def log(self):
         """``log(1 + s)`` for ``s`` without a constant term, known on its window.
@@ -423,26 +409,22 @@ class GradedSeries:
         ``k L_k = k s_k - sum_{j=1..k-1} (k-j) L_(k-j) s_j`` (:func:`_first_order`).
         ``L_k`` reads only ``s_1 .. s_k``, so every ``w < wprec`` is exact.
         """
-        if self.coeffs.get(0) != 1 or self.wlead != 0:
+        if self.wlead != 0 or self.lead_coeff != 1:
             raise LeadingTermError("log requires leading term exactly 1")
         wp = self.wprec
-        if len(self.coeffs) == 1:
+        if len(self._row._num) == 1:
             return GradedSeries.zero(self.direction, self.prec)
         if wp is None:
             raise TruncationError("log does not terminate on exact input; truncate() first")
-        s = sorted((self._w(e), c) for e, c in self.coeffs.items() if e)
-        out = _first_order(s, wp, 0, 1, head=ZERO, source=True)
-        return GradedSeries._from_w(self.direction, dict(enumerate(out)), wp)
+        out = _first_order(self._rest(), wp, 0, 1, self._row._den, head=ZERO, source=True)
+        return self._placed(out, 0, wp)
 
     # --- calculus ---------------------------------------------------------
 
     def derivative(self):
-        out = {}
-        for e, c in self.coeffs.items():
-            if e != 0:
-                out[e - 1] = c * e
-        prec = None if self.prec is None else self.prec - 1
-        return GradedSeries(self.direction, out, prec)
+        row = Row._canon({e - 1: n * e for e, n in self._row._num.items()}, self._row._den)
+        wp = self.wprec
+        return GradedSeries._cut(self.direction, row, None if wp is None else wp - self._w(1))
 
     # --- substitution ------------------------------------------------------
 
@@ -490,13 +472,16 @@ class GradedSeries:
         else:
             wcap = outer.wprec
 
-        if not outer.coeffs:
-            return GradedSeries._from_w(rdir, {}, wcap)
+        num = outer._row._num
+        if not num:
+            return GradedSeries._cut(rdir, Row._of({}, 1), wcap)
 
-        kmin = min(outer.coeffs)
-        acc = _eval_polynomial(outer.coeffs, kmin, max(outer.coeffs) - kmin, inner)
+        # the numerators of the outer series, scaled by its denominator at the end
+        kmin = min(num)
+        acc = _eval_polynomial(num, kmin, max(num) - kmin, inner)
         if kmin:
             acc = acc * inner ** kmin
+        acc = acc / outer._row._den
         if wcap is not None and (acc.wprec is None or wcap < acc.wprec):
             acc = acc._truncate_w(wcap)
         return acc
@@ -522,18 +507,25 @@ class GradedSeries:
             return conj.revert().reciprocal().invert_variable()
         if g.lead != 1:
             raise LeadingTermError("ascending reversion needs shape c1*z + higher with c1 != 0")
-        # g(w)/w = c1 (1 + t), so (w/g(w))^k = c1^-k (1 + t)^-k
-        c1 = g.coeffs[1]
-        t = sorted((e - 1, c / c1) for e, c in g.coeffs.items() if e != 1)
-        inv = ONE / c1
+        # g(w)/w = c1 (1 + t), so (w/g(w))^k = c1^-k (1 + t)^-k; over the row's
+        # denominator D, c1 = n_1/D and (1 + t) = (n_1 + T)/n_1
+        n1, t = g._row._num[1], g._rest()
+        inv = Rational(g._row._den, n1)
         scale = ONE
-        out = {}
+        out = Row._of({}, 1)
         for k in range(1, wp):
             scale *= inv
-            c = _first_order(t, k, -k, 1)[k - 1]
+            power = _first_order(t, k, -k, 1, n1)
+            c = power._num[k - 1]
             if c:
-                out[k] = c * scale / k
-        return GradedSeries(ASCENDING, out, wp)
+                out._put(k, Rational(c, power._den) * scale / k)
+        return GradedSeries._cut(ASCENDING, out, wp)
+
+
+def _sum(direction, pairs):
+    """sum c s over (rational c, series s) pairs, known where every s is known."""
+    wp = min((s.wprec for _, s in pairs if s.prec is not None), default=None)
+    return GradedSeries._cut(direction, Row._combine([(c, s._row) for c, s in pairs]), wp)
 
 
 def _eval_polynomial(coeffs, kmin, deg, x):
@@ -553,42 +545,39 @@ def _eval_polynomial(coeffs, kmin, deg, x):
         powers.append(powers[-1] * x)
     acc = None
     for base in range(kmin + deg // m * m, kmin - 1, -m):
-        block = GradedSeries.zero(x.direction)
-        for j in range(m):
-            c = coeffs.get(base + j)
-            if c is not None:
-                block = block + powers[j] * c
+        terms = [(coeffs[base + j], powers[j]) for j in range(m) if base + j in coeffs]
+        block = _sum(x.direction, terms)
         acc = block if acc is None else acc * powers[m] + block
     return acc
 
 
-def _first_order(s, depth, p, b, q=1, head=ONE, source=False):
-    """``g_0 = head, g_1 .. g_(depth-1)`` solving ``(q + b s) g' = p s' g (+ s')``.
+def _first_order(s, depth, p, b, q, head=ONE, source=False):
+    """The row ``g_0 = head, g_1 .. g_(depth-1)`` solving ``(q + b s) g' = p s' g (+ s')``.
 
-    ``s`` lists ``(j, c_j)``, ``j >= 1``, ascending; ``s'`` joins the right side
+    ``s`` maps ``j >= 1``, ascending, to ``s_j``; ``s'`` joins the right side
     when ``source`` is set.  The coefficients of ``w^(k-1)`` give ``q k g_k =
-    [source] k s_k + sum_{j=1..k} ((p + b) j - b k) s_j g_(k-j)``, one pass over
-    ``s`` per coefficient, summed in ints over the denominators of ``s`` and of
-    the ``g`` solved so far (:class:`Row`).  ``b = q`` is J.C.P. Miller's
-    recurrence for ``(1 + s)^(p/q)``, and ``p, b = -1, 1`` with ``head = 1/q``
-    gives ``1/(q + s)``; ``p, b = 1, 0`` gives ``e^s``, and ``p, b = 0, 1``
-    with ``head = 0`` and ``source`` gives ``log(1 + s)``.
+    [source] k s_k + sum_{j=1..k} ((p + b) j - b k) s_j g_(k-j)``, one pass
+    over ``s`` per coefficient.  ``b = q`` is J.C.P. Miller's recurrence for
+    ``(1 + s)^(p/q)``, and ``p, b = -1, 1`` with ``head = 1/q`` gives
+    ``1/(q + s)``; ``p, b = 1, 0`` with ``q = 1`` gives ``e^s``, and ``p, b =
+    0, 1`` with ``q = 1``, ``head = 0`` and ``source`` gives ``log(1 + s)``.
+    Scaling ``q`` and ``s`` together scales both sides, so a caller whose
+    ``s`` is int numerators over ``D`` passes them with ``q`` times ``D`` and
+    the same ``head``: every sum then runs in ints, over the denominator of
+    the ``g`` solved so far, and the row it returns may hold zeros.
     """
-    S, g = Row(dict(s)), Row({0: head})
-    sn, gn = S.nums, g.nums
-    out = [head]
+    g = Row._of({0: head.numerator}, head.denominator)
+    gn = g._num
     for k in range(1, depth):
-        acc = k * sn.get(k, 0) * g.den if source else 0
-        for j, sj in sn.items():
+        acc = k * s.get(k, 0) * g._den if source else 0
+        for j, sj in s.items():
             if j > k:
                 break
             gj = gn[k - j]
             if gj:
                 acc += ((p + b) * j - b * k) * sj * gj
-        value = Rational(acc * q.denominator, S.den * g.den * k * q.numerator)
-        g.put(k, value)
-        out.append(value)
-    return out
+        g._put(k, Rational(acc, q * k * g._den))
+    return g
 
 
 # --- hyperbolic maps -------------------------------------------------------

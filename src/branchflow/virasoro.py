@@ -4,13 +4,12 @@ L_m = sum_{k>0, k+m>0} (k+m) q_k d/dq_{k+m}
       + (1/2) sum_{a+b=m, a,b>0} ab d^2/dq_a dq_b
       + (1/2) sum_{i+j=-m, i,j>0} q_i q_j
 
-A QPoly is Python-int numerators over one positive denominator, canonical (no
-zero numerator, gcd(den, numerators) = 1), and each operation normalises its
-result once.  An operator is its image of one monomial, read off the sums as
-integer weights over a denominator fixed per operator: 2 for L_m, 1 for alpha_n
-and d_j, and in exp_op the lcm of the c_i op_i denominators.  So no
-Rational is built per product; ``QPoly.terms`` builds them when read.  Weight
-(the sum of q-indices of a monomial) is the grading: L_m lowers it by m.
+A QPoly is a row keyed by monomial in the layout of ``branchflow.exact``, and
+each operation normalises its result once.  An operator is its image of one
+monomial, read off the sums as integer weights over a denominator fixed per
+operator: 2 for L_m, 1 for alpha_n and d_j, and in exp_op the lcm of the c_i
+op_i denominators.  Weight (the sum of q-indices of a monomial) is the
+grading: L_m lowers it by m.
 
 The only memo of images that outlives one polynomial lives in the callable
 exp_op returns and dies with it: verify_factorization holds three of them (in
@@ -23,13 +22,12 @@ import json
 import random
 import re
 from reprlib import repr as _short
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, reduce
 from importlib import resources
-from math import gcd, lcm
+from math import lcm
 
-from .exact import ONE, Rational, ZERO, rational
+from .exact import ONE, Rational, Row, ZERO, rational
 from .report import VerificationReport, failed, passed, skipped, start_clock
 
 FIXTURE_RESOURCE = "fk_fixture.json"
@@ -49,69 +47,18 @@ def _d(key: tuple, j: int) -> tuple:
     return ((key[:i] + key[i + 1:], mult),)
 
 
-def _canon(out: dict, den: int) -> "QPoly":
-    """The canonical QPoly of the numerators ``out`` over ``den`` > 0."""
-    try:
-        g = reduce(gcd, out.values(), den)  # a zero numerator leaves the gcd as it is
-    except TypeError:  # a hand-built image with Rational weights: lift them to ints
-        lift = reduce(lcm, (v.denominator for v in out.values()), 1)
-        out, den = {k: int(v * lift) for k, v in out.items()}, den * lift
-        g = reduce(gcd, out.values(), den)
-    return QPoly._of({k: v // g for k, v in out.items() if v}, den // g)
+class QPoly(Row):
+    """Polynomial in the q-variables: a row of rationals keyed by monomial."""
 
-
-def _combine(pairs) -> "QPoly":
-    """sum c p over (rational c, QPoly p) pairs, over the lcm of the c p denominators."""
-    den = reduce(lcm, (c.denominator * p._den for c, p in pairs), 1)
-    out: dict = {}
-    get = out.get
-    for c, p in pairs:
-        f = c.numerator * (den // (c.denominator * p._den))
-        for key, num in p._num.items():
-            out[key] = get(key, 0) + f * num
-    return _canon(out, den)
-
-
-class _Terms(Mapping):
-    """Read-only {monomial: Rational} view of a QPoly; len and keys read the numerators."""
-
-    def __init__(self, num: dict, den: int):
-        self._num, self._den = num, den
-
-    def __getitem__(self, key):
-        return Rational(self._num[key], self._den)
-
-    def __len__(self):
-        return len(self._num)
-
-    def __iter__(self):
-        return iter(self._num)
-
-
-class QPoly:
-    """Polynomial in the q-variables: integer numerators over one denominator."""
-
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        pairs = []
+        summed: dict = {}  # keys that canonicalise to one monomial are summed
         for key, coeff in (terms or {}).items():
             if coeff != 0 and any(i < 1 for i in key):
                 raise ValueError(f"q-indices must be positive, got {key}")
-            pairs.append((Rational(coeff), QPoly._of({_key(key): 1}, 1)))
-        p = _combine(pairs)  # keys that canonicalise to one monomial are summed
-        self._num, self._den = p._num, p._den
-
-    @classmethod
-    def _of(cls, num: dict, den: int) -> "QPoly":
-        """Wraps numerators over a denominator that are already canonical."""
-        p = object.__new__(cls)
-        p._num, p._den = num, den
-        return p
-
-    @property
-    def terms(self) -> Mapping:
-        return _Terms(self._num, self._den)
+            summed[_key(key)] = summed.get(_key(key), 0) + Rational(coeff)
+        super().__init__(summed)
 
     @classmethod
     def one(cls) -> "QPoly":
@@ -136,16 +83,16 @@ class QPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        return _combine(((1, self), (1, other)))
+        return QPoly._combine(((1, self), (1, other)))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return _combine(((1, self), (-1, other)))
+        return QPoly._combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "QPoly":
         return self.scale(-1)
 
     def scale(self, value) -> "QPoly":
-        return _combine(((value, self),))
+        return QPoly._combine(((value, self),))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         out: dict = {}
@@ -153,7 +100,7 @@ class QPoly:
             for kb, cb in other._num.items():
                 key = _key(ka + kb)
                 out[key] = out.get(key, 0) + ca * cb
-        return _canon(out, self._den * other._den)
+        return QPoly._canon(out, self._den * other._den)
 
     def derivative(self, j: int) -> "QPoly":
         return make_d(j)(self)
@@ -162,12 +109,7 @@ class QPoly:
         parts: dict = {}
         for key, num in self._num.items():
             parts.setdefault(sum(key), {})[key] = num
-        return {w: _canon(part, self._den) for w, part in sorted(parts.items())}
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self._den == other._den and self._num == other._num
-
-    __hash__ = None
+        return {w: QPoly._canon(part, self._den) for w, part in sorted(parts.items())}
 
     def __repr__(self):
         if not self._num:
@@ -196,7 +138,7 @@ class LinearOp:
         for key, num in p._num.items():
             for ikey, weight in self.image(key):
                 out[ikey] = get(ikey, 0) + weight * num
-        return _canon(out, p._den * self.den)
+        return QPoly._canon(out, p._den * self.den)
 
 
 def make_L(m: int) -> LinearOp:
@@ -340,7 +282,7 @@ def scan_virasoro_commutators(cells, corpus, order=None) -> list:
                 LnLm = LmLn if m == n else L[n](Lp(m))
                 if m != n:
                     held[cell] = LmLn, LnLm
-            return ((LmLn - LnLm, _combine(((m - n, Lp(m + n)), (central[cell], p)))),)
+            return ((LmLn - LnLm, QPoly._combine(((m - n, Lp(m + n)), (central[cell], p)))),)
 
         return on_p
 
@@ -364,7 +306,7 @@ def scan_heisenberg_commutators(cells, corpus, order=None) -> list:
         def on_p(cell):
             n, k = cell
             inv = inverse[n]
-            lhs = _combine(((inv, alpha[n](Lp(k))), (-inv, L[k](ap(n)))))
+            lhs = QPoly._combine(((inv, alpha[n](Lp(k))), (-inv, L[k](ap(n)))))
             return ((lhs, ap(n + k)),)
 
         return on_p
@@ -388,7 +330,7 @@ def scan_grading(cells, corpus, order=None) -> list:
             for w, part in parts:
                 image = L[m](part)
                 stray = {key: v for key, v in image._num.items() if sum(key) != w - m}
-                yield _canon(stray, image._den), zero
+                yield QPoly._canon(stray, image._den), zero
 
         return on_p
 
@@ -436,7 +378,7 @@ def exp_op(ops):
             term = LinearOp(name, None, image, den * n)(term)  # the 1/n rides on den
             terms.append((1, term))
             n += 1
-        return _combine(terms)
+        return QPoly._combine(terms)
 
     return apply
 
@@ -464,16 +406,10 @@ def factorization_sides(weight_bound: int, l_values=None, b_values=None):
     if b_values is None:
         b_values = coeffs_b(2 * k_max + 1).values if k_max else ()
 
-    def combined(m):
-        L = make_L(2 * m)
-        shift = 2 * m + 3
-
-        def image(key):  # over L's denominator 2
-            return L.image(key) + [(k, -2 * shift * w) for k, w in _d(key, shift)]
-
-        return LinearOp(f"L[{2*m}]-{shift}d[{shift}]", -2 * m, image, L.den)
-
-    lhs_exp = exp_op([(l_values[m - 1], combined(m)) for m in range(1, m_max + 1)])
+    lhs_exp = exp_op(
+        [(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)]
+        + [(-(2 * m + 3) * l_values[m - 1], make_d(2 * m + 3)) for m in range(1, m_max + 1)]
+    )
     l_exp = exp_op([(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)])
     shift_exp = exp_op([(-b_values[2 * k], make_d(2 * k + 3)) for k in range(1, k_max + 1)])
 
@@ -578,7 +514,7 @@ def kw_residual(F: QPoly, m: int, top=None) -> QPoly:
         if top is None or u + v <= top
     ]
     shift = (-(two_m + 3), F.derivative(two_m + 3))
-    return _combine([(1, make_L(two_m)(F)), *bilinear, shift])
+    return QPoly._combine([(1, make_L(two_m)(F)), *bilinear, shift])
 
 
 def verify_kw_constraints(

@@ -55,19 +55,29 @@ def test_string_round_trip(a):
 
 
 def test_row_raises_its_denominator_only_when_a_value_needs_it():
-    row = Row({0: Rational(1, 6), 1: Rational(-1, 4)})
-    assert (row.nums, row.den) == ({0: 2, 1: -3}, 12)
-    row.put(2, Rational(5, 3))  # 3 divides 12: the numerators stay as they are
-    assert (row.nums, row.den) == ({0: 2, 1: -3, 2: 20}, 12)
-    nums = row.nums
-    row.put(3, Rational(1, 10))  # the lcm 60 rescales the earlier numerators in place
-    assert row.nums is nums
-    assert (row.nums, row.den) == ({0: 10, 1: -15, 2: 100, 3: 6}, 60)
-    row.put(1, Rational(1, 7))  # a key put again takes the new value
-    assert [Fraction(n, row.den) for n in row.nums.values()] == [
+    row = Row({0: Rational(1, 6), 1: Rational(-1, 4), 2: ZERO})  # zeros are dropped
+    assert (row._num, row._den) == ({0: 2, 1: -3}, 12)
+    row._put(2, Rational(5, 3))  # 3 divides 12: the numerators stay as they are
+    assert (row._num, row._den) == ({0: 2, 1: -3, 2: 20}, 12)
+    nums = row._num
+    row._put(3, Rational(1, 10))  # the lcm 60 rescales the earlier numerators in place
+    assert row._num is nums
+    assert (row._num, row._den) == ({0: 10, 1: -15, 2: 100, 3: 6}, 60)
+    row._put(1, Rational(1, 7))  # a key put again takes the new value
+    assert list(row.terms.values()) == [
         Rational(1, 6), Rational(1, 7), Rational(5, 3), Rational(1, 10)
     ]
-    assert (Row({}).nums, Row({}).den) == ({}, 1)
+    assert (Row({})._num, Row({})._den) == ({}, 1)
+
+
+def test_row_kernel_returns_canonical_rows():
+    a, b = Row({0: Rational(1, 6), 1: Rational(1, 4)}), Row({0: Rational(-1, 6), 2: ONE})
+    total = Row._combine(((1, a), (1, b)))  # the z^0 terms cancel, leaving 1/4 and 1
+    assert (total._num, total._den) == ({1: 1, 2: 4}, 4)
+    assert Row._canon({0: 6, 1: 0, 2: -9}, 12) == Row._of({0: 2, 2: -3}, 4)
+    assert Row._combine(((Rational(3, 2), a),)).terms == {0: Rational(1, 4), 1: Rational(3, 8)}
+    with pytest.raises(TypeError):
+        a.terms[0] = ONE
 
 
 def test_factorials():

@@ -145,6 +145,15 @@ def test_builders_know_exactly_their_window(name, monkeypatch):
         assert raw == flows._windowed(raw, n), n
 
 
+def test_cached_series_cannot_be_changed_in_place():
+    # a write through ``coeffs`` would reach every later series_f(n) and verifier
+    f = series_f(8)
+    with pytest.raises(TypeError):
+        f.coeffs[0] = 99
+    assert series_f(8).coefficient(0) == rational(2, 3)
+    assert verify_prop_hy(8).status == "PASS"
+
+
 # --- defining functional equations ----------------------------------------------
 
 

@@ -46,3 +46,6 @@ def test_times_each_order_in_a_fresh_interpreter(op):
     assert isinstance(out["growth_exp"], float)
     assert len(out["peak_rss_kib"]) == 2
     assert all(isinstance(k, int) and k > 1024 for k in out["peak_rss_kib"])
+    package = SCRIPT.parent.parent / "src" / "branchflow"
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in package.glob("*.py"))
+    assert out["src_lines"] == lines

@@ -1,5 +1,6 @@
 """GradedSeries ring, composition, reversion, and transcendental maps."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,23 @@ def test_normalizes_zero_coefficients():
 def test_rejects_floats():
     with pytest.raises(TypeError):
         asc({1: 0.5})
+
+
+@pytest.mark.parametrize(
+    "coeffs, prec",
+    [({1.5: 1, 0: 1}, 3), ({"2": 1}, None), ({True: 1}, None), ({1: 1}, 3.9), ({1: 1}, True)],
+)
+def test_rejects_non_int_exponents_and_prec(coeffs, prec):
+    # int() would truncate 1.5 to 1 and read "2" as 2 without a word
+    with pytest.raises(TypeError):
+        asc(coeffs, prec=prec)
+
+
+def test_coefficients_are_a_read_only_view():
+    s = asc({0: 1, 1: rational(1, 2)}, prec=4)
+    with pytest.raises(TypeError):
+        s.coeffs[0] = 99
+    assert dict(s.coeffs) == {0: ONE, 1: rational(1, 2)}
 
 
 def test_rejects_coefficients_outside_window():
@@ -408,6 +426,14 @@ def cut_series(draw, direction, lead, unit=False):
     return g, g.truncate(lead + sign * keep)
 
 
+def assert_canonical(*series):
+    """Each row is int numerators over a positive denominator, none zero, gcd 1."""
+    for s in series:
+        num, den = s._row._num, s._row._den
+        assert den > 0 and all(type(n) is int and n for n in num.values())
+        assert math.gcd(den, *num.values()) == 1
+
+
 def assert_window_agrees(short, full):
     """``full`` knows every coefficient ``short`` declares known, with its value."""
     start = min((s.wlead for s in (short, full) if s.coeffs), default=short.wprec)
@@ -424,6 +450,8 @@ def test_mul_window_is_honest(data):
     x, x_cut = data.draw(cut_series(d, data.draw(st.integers(-2, 2))))
     y, _ = data.draw(cut_series(d, data.draw(st.integers(-2, 2))))
     assert_window_agrees(x_cut * y, x * y)
+    assert_canonical(x_cut * y, x * y, x + y, x_cut - y, -x, x * rational(-3, 4), 2 - x)
+    assert_canonical(x.derivative(), x.shift(2), x.invert_variable(), x.truncate(x_cut.prec))
 
 
 @given(st.data())
@@ -431,6 +459,7 @@ def test_mul_window_is_honest(data):
 def test_reciprocal_window_is_honest(data):
     x, x_cut = data.draw(cut_series(data.draw(directions), data.draw(st.integers(-2, 2))))
     assert_window_agrees(x_cut.reciprocal(), x.reciprocal())
+    assert_canonical(x_cut.reciprocal(), x.reciprocal())
 
 
 @given(st.data(), st.sampled_from([rational(1, 2), rational(-1, 2), rational(3, 2), -2, 3]))
@@ -439,6 +468,7 @@ def test_pow_window_is_honest(data, r):
     lead = data.draw(st.sampled_from([-2, 0, 2]))
     x, x_cut = data.draw(cut_series(data.draw(directions), lead, unit=True))
     assert_window_agrees(x_cut.pow(r), x.pow(r))
+    assert_canonical(x_cut.pow(r), x.pow(r))
 
 
 @given(st.data())
@@ -448,8 +478,10 @@ def test_exp_log_windows_are_honest(data):
     sign = 1 if d == ASCENDING else -1
     x, x_cut = data.draw(cut_series(d, sign * data.draw(st.integers(1, 2))))
     assert_window_agrees(x_cut.exp(), x.exp())
+    assert_canonical(x_cut.exp(), x.exp())
     x, x_cut = data.draw(cut_series(d, 0, unit=True))
     assert_window_agrees(x_cut.log(), x.log())
+    assert_canonical(x_cut.log(), x.log())
 
 
 @st.composite
@@ -474,6 +506,7 @@ def test_compose_window_is_honest(case):
     full = outer.compose(inner)
     assert_window_agrees(outer_cut.compose(inner), full)
     assert_window_agrees(outer.compose(inner_cut), full)
+    assert_canonical(full, outer_cut.compose(inner), outer.compose(inner_cut))
 
 
 @given(st.data())
@@ -482,6 +515,7 @@ def test_revert_window_is_honest(data):
     d = data.draw(directions)
     x, x_cut = data.draw(cut_series(d, 1, unit=d == DESCENDING))
     assert_window_agrees(x_cut.revert(), x.revert())
+    assert_canonical(x_cut.revert(), x.revert())
 
 
 # --- the integer kernel against one Fraction product per term ---------------------

@@ -136,7 +136,7 @@ def _grid(args, *keys) -> list:
 
 def _operator_scan(args, scan, cells) -> list:
     """One scan over every cell: the corpus is walked once, not once per cell."""
-    corpus = default_corpus(args.weight, max(args.weight, 12), args.seed)
+    corpus = default_corpus(args.weight, args.seed)
     reports = scan([tuple(cell.values()) for cell in cells], corpus)
     return [_cell(report, cell) for report, cell in zip(reports, cells)]
 

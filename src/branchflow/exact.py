@@ -24,10 +24,13 @@ ONE = Rational(1)
 
 
 def rational(value, denominator=None):
-    """Coerce ints, strings like ``-7/3``, Fractions, or Rationals."""
+    """Coerce ints, strings like ``-7/3``, Fractions, or Rationals.  A float is
+    refused: its binary value is not the decimal it was written as."""
+    if isinstance(value, float) or isinstance(denominator, float):
+        raise TypeError("float coefficients are not exact; pass int, str, or Rational")
     if denominator is not None:
         return Rational(value) / Rational(denominator)
-    return Rational(value)
+    return value if type(value) is Rational else Rational(value)
 
 
 def rational_str(value) -> str:
@@ -56,13 +59,8 @@ class Row:
 
     @classmethod
     def _canon(cls, num: dict, den: int):
-        """The canonical row of the numerators ``num`` over ``den`` > 0."""
-        try:
-            g = math.gcd(den, *num.values())  # a zero numerator leaves the gcd as it is
-        except TypeError:  # Rational numerators (a hand-built operator image): lift them
-            lift = math.lcm(*(v.denominator for v in num.values()))
-            num, den = {k: int(v * lift) for k, v in num.items()}, den * lift
-            g = math.gcd(den, *num.values())
+        """The canonical row of the int numerators ``num`` over ``den`` > 0."""
+        g = math.gcd(den, *num.values())  # a zero numerator leaves the gcd as it is
         return cls._of({k: v // g for k, v in num.items() if v}, den // g)
 
     @classmethod

@@ -51,14 +51,6 @@ class TruncationError(SeriesError):
     """Operation needs a finite truncation window it was not given."""
 
 
-def _coerce(value):
-    if type(value) is Rational:  # immutable, so shared as it is
-        return value
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not exact; pass int, str, or Rational")
-    return rational(value)
-
-
 def _check_int(value, what):
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int, got {value!r}")
@@ -76,7 +68,7 @@ class GradedSeries:
         if coeffs:
             for e, c in coeffs.items():
                 _check_int(e, "an exponent")
-                c = _coerce(c)
+                c = rational(c)
                 if c == 0:
                     continue
                 if prec is not None:
@@ -231,7 +223,7 @@ class GradedSeries:
             )
 
     def _add_scalar(self, value):
-        value = _coerce(value)
+        value = rational(value)
         if value == 0:
             return self
         wp = self.wprec
@@ -251,13 +243,13 @@ class GradedSeries:
         return _sum(self.direction, ((-1, self),))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, GradedSeries) else -_coerce(other))
+        return self + (-other if isinstance(other, GradedSeries) else -rational(other))
 
     def __rsub__(self, other):
         return (-self)._add_scalar(other)
 
     def _scale(self, value):
-        value = _coerce(value)
+        value = rational(value)
         if value == 0:
             # an exact zero factor annihilates the unknown tail as well
             return GradedSeries.zero(self.direction)
@@ -287,7 +279,7 @@ class GradedSeries:
     def __truediv__(self, other):
         if isinstance(other, GradedSeries):
             return self * other.reciprocal()
-        other = _coerce(other)
+        other = rational(other)
         if other == 0:
             raise ZeroDivisionError("series divided by zero scalar")
         return self._scale(ONE / other)

@@ -7,13 +7,16 @@ L_m = sum_{k>0, k+m>0} (k+m) q_k d/dq_{k+m}
 A QPoly is a row keyed by monomial in the layout of ``branchflow.exact``, and
 each operation normalises its result once.  An operator is its image of one
 monomial, read off the sums as integer weights over a denominator fixed per
-operator: 2 for L_m, 1 for alpha_n and d_j, and in exp_op the lcm of the c_i
-op_i denominators.  Weight (the sum of q-indices of a monomial) is the
-grading: L_m lowers it by m.
+operator: 2 for L_m, 1 for alpha_n and d_j, and for a sum c_1 op_1 + ... built
+by op_sum the lcm of the c_i op_i denominators.  Weight (the sum of q-indices
+of a monomial) is the grading: L_m lowers it by m, and the exponential of an
+operator that lowers it terminates on every polynomial.
 
-The only memo of images that outlives one polynomial lives in the callable
-exp_op returns and dies with it: verify_factorization holds three of them (in
-factorization_sides) for one check, and drops them when it returns.
+The only memo of images that outlives one polynomial lives in an operator
+op_sum returns and dies with it: verify_factorization holds three of them (in
+factorization_sides) for one check -- the sum of the l_m L_2m, which both sides
+read, and the two sums built on it and on the shifts -- and drops them when it
+returns.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 import re
 from reprlib import repr as _short
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from importlib import resources
 from math import lcm
 
@@ -57,7 +60,7 @@ class QPoly(Row):
         for key, coeff in (terms or {}).items():
             if coeff != 0 and any(i < 1 for i in key):
                 raise ValueError(f"q-indices must be positive, got {key}")
-            summed[_key(key)] = summed.get(_key(key), 0) + Rational(coeff)
+            summed[_key(key)] = summed.get(_key(key), 0) + rational(coeff)
         super().__init__(summed)
 
     @classmethod
@@ -66,7 +69,7 @@ class QPoly(Row):
 
     @classmethod
     def monomial(cls, indices, coeff=ONE) -> "QPoly":
-        return cls({_key(indices): rational(coeff)})
+        return cls({_key(indices): coeff})
 
     def is_zero(self) -> bool:
         return not self._num
@@ -92,7 +95,7 @@ class QPoly(Row):
         return self.scale(-1)
 
     def scale(self, value) -> "QPoly":
-        return QPoly._combine(((value, self),))
+        return QPoly._combine(((rational(value), self),))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         out: dict = {}
@@ -124,11 +127,9 @@ class QPoly(Row):
 @dataclass(frozen=True)
 class LinearOp:
     """Exact linear operator: ``image(key)`` lists the (monomial, integer weight)
-    terms of its image of the monomial ``key``, weights over ``den``; delta is
-    its uniform weight shift, if any."""
+    terms of its image of the monomial ``key``, weights over ``den``."""
 
     name: str
-    delta: int | None
     image: object
     den: int = 1
 
@@ -156,7 +157,7 @@ def make_L(m: int) -> LinearOp:
         out.extend((_key(key + ij), 1) for ij in products)  # q_i q_j
         return out
 
-    return LinearOp(f"L[{m}]", -m, image, 2)
+    return LinearOp(f"L[{m}]", image, 2)
 
 
 def make_alpha(n: int) -> LinearOp:
@@ -164,12 +165,12 @@ def make_alpha(n: int) -> LinearOp:
     if n == 0:
         raise ValueError("alpha_0 is the zero operator; it has no basic form")
     if n < 0:
-        return LinearOp(f"alpha[{n}]", -n, lambda key: ((_key(key + (-n,)), 1),))
-    return LinearOp(f"alpha[{n}]", -n, lambda key: [(k, n * w) for k, w in _d(key, n)])
+        return LinearOp(f"alpha[{n}]", lambda key: ((_key(key + (-n,)), 1),))
+    return LinearOp(f"alpha[{n}]", lambda key: [(k, n * w) for k, w in _d(key, n)])
 
 
 def make_d(j: int) -> LinearOp:
-    return LinearOp(f"d[{j}]", -j, lambda key: _d(key, j))
+    return LinearOp(f"d[{j}]", lambda key: _d(key, j))
 
 
 def commutator(A: LinearOp, B: LinearOp, p: QPoly) -> QPoly:
@@ -228,24 +229,25 @@ def corpus_monomials(weight_bound: int) -> list:
     return out
 
 
-def corpus_random(weight_lo: int, weight_hi: int, seed: int, count: int) -> list:
+_SAMPLE_WEIGHT = 12  # the random samples reach this weight
+_SAMPLES = 8
+
+
+def default_corpus(weight_bound: int = 9, seed: int = 0) -> list:
+    """Every monomial up to the weight bound and, below weight 12, eight seeded
+    random monomials of weights above it with random rational coefficients."""
+    corpus = corpus_monomials(weight_bound)
+    if weight_bound >= _SAMPLE_WEIGHT:
+        return corpus
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        w = rng.randint(weight_lo, weight_hi)
+    for _ in range(_SAMPLES):
+        w = rng.randint(weight_bound + 1, _SAMPLE_WEIGHT)
         indices = []
         while w:
             part = rng.randint(1, w)
             indices.append(part)
             w -= part
-        out.append(QPoly.monomial(indices, Rational(rng.randint(1, 9), rng.randint(1, 9))))
-    return out
-
-
-def default_corpus(weight_bound: int = 9, sample_bound: int = 12, seed: int = 0) -> list:
-    corpus = corpus_monomials(weight_bound)
-    if sample_bound > weight_bound:
-        corpus.extend(corpus_random(weight_bound + 1, sample_bound, seed, 8))
+        corpus.append(QPoly.monomial(indices, Rational(rng.randint(1, 9), rng.randint(1, 9))))
     return corpus
 
 
@@ -352,47 +354,38 @@ def check_grading(m: int, corpus, order=None) -> VerificationReport:
 # --- exponentials and the factorization -----------------------------------------
 
 
-def exp_op(ops):
-    """exp(sum c_i op_i) for weight-lowering op_i, as a callable on QPolys.
-
-    sum c_i op_i is one operator: the weighted union of the monomial images,
-    with integer weights over the lcm of the c_i op_i denominators.  Its image
-    of each monomial is built once and memoised for as long as the returned
-    callable lives.  The Taylor sum terminates exactly and is summed once."""
-    for _, op in ops:
-        if op.delta is None:
-            raise ValueError(f"{op.name} has no uniform weight shift; exponential undefined")
-        if op.delta >= 0:
-            raise ValueError(f"{op.name} does not lower weight; exponential diverges")
-    den = reduce(lcm, (c.denominator * op.den for c, op in ops), 1)
-    scaled = [(c.numerator * (den // (c.denominator * op.den)), op) for c, op in ops]
-    name = "+".join(op.name for _, op in ops)
+def op_sum(pairs) -> LinearOp:
+    """sum c_i op_i over (rational c_i, operator op_i) pairs, as one operator:
+    the weighted union of the monomial images, with integer weights over the lcm
+    of the c_i op_i denominators.  Its image of each monomial is built once and
+    memoised for as long as the returned operator lives."""
+    pairs = [(rational(c), op) for c, op in pairs]
+    den = lcm(*(c.denominator * op.den for c, op in pairs))
+    scaled = [(c.numerator * (den // (c.denominator * op.den)), op.image) for c, op in pairs]
 
     @cache
     def image(key):
-        return [(ikey, f * w) for f, op in scaled for ikey, w in op.image(key)]
+        return [(ikey, f * w) for f, part in scaled for ikey, w in part(key)]
 
-    def apply(p: QPoly) -> QPoly:
-        terms, term, n = [(1, p)], p, 1
-        while not term.is_zero():
-            term = LinearOp(name, None, image, den * n)(term)  # the 1/n rides on den
-            terms.append((1, term))
-            n += 1
-        return QPoly._combine(terms)
-
-    return apply
+    return LinearOp("+".join(op.name for _, op in pairs), image, den)
 
 
-def exp_op_apply(ops, p: QPoly) -> QPoly:
-    """exp(sum c_i op_i) p for weight-lowering op_i; the sum terminates exactly.
-    ``ops`` lists the (c_i, op_i), or is an exponential that exp_op built, whose
-    memoised images then serve every polynomial it is applied to."""
-    return (ops if callable(ops) else exp_op(ops))(p)
+def exp_op_apply(op: LinearOp, p: QPoly) -> QPoly:
+    """exp(op) p, summed once: a weight-lowering op leaves nothing after
+    ``p.max_weight() + 1`` applications, and anything left then is refused."""
+    terms, term = [(1, p)], p
+    for n in range(1, p.max_weight() + 2):
+        term = LinearOp(op.name, op.image, op.den * n)(term)  # the 1/n rides on den
+        if term.is_zero():
+            return QPoly._combine(terms)
+        terms.append((1, term))
+    raise ValueError(f"{op.name} does not lower weight; exponential diverges")
 
 
 def factorization_sides(weight_bound: int, l_values=None, b_values=None):
     """Both sides of exp(sum l_m (L_2m - (2m+3) d_{2m+3})) =
-    exp(sum l_m L_2m) exp(-sum b_{2k+1} d_{2k+3}) as application callables."""
+    exp(sum l_m L_2m) exp(-sum b_{2k+1} d_{2k+3}) as application callables.
+    Both sides read one sum A = sum l_m L_2m, so each L_2m image is built once."""
     from .branches import coeffs_b
     from .flows import LAW_EVEN, flow_solve, series_theta
 
@@ -406,18 +399,18 @@ def factorization_sides(weight_bound: int, l_values=None, b_values=None):
     if b_values is None:
         b_values = coeffs_b(2 * k_max + 1).values if k_max else ()
 
-    lhs_exp = exp_op(
-        [(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)]
+    A = op_sum([(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)])
+    joint = op_sum(
+        [(1, A)]
         + [(-(2 * m + 3) * l_values[m - 1], make_d(2 * m + 3)) for m in range(1, m_max + 1)]
     )
-    l_exp = exp_op([(l_values[m - 1], make_L(2 * m)) for m in range(1, m_max + 1)])
-    shift_exp = exp_op([(-b_values[2 * k], make_d(2 * k + 3)) for k in range(1, k_max + 1)])
+    shift = op_sum([(-b_values[2 * k], make_d(2 * k + 3)) for k in range(1, k_max + 1)])
 
     def lhs(p):
-        return exp_op_apply(lhs_exp, p)
+        return exp_op_apply(joint, p)
 
     def rhs(p):
-        return exp_op_apply(l_exp, exp_op_apply(shift_exp, p))
+        return exp_op_apply(A, exp_op_apply(shift, p))
 
     return lhs, rhs
 

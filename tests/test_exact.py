@@ -29,6 +29,9 @@ def test_rational_coercions():
     assert rational("-7/3") == Rational(-7) / Rational(3)
     assert rational(5, 15) == rational("1/3")
     assert rational(Fraction(2, 4)) == rational(1, 2)
+    for value, denominator in [(0.5, None), (1, 0.5)]:
+        with pytest.raises(TypeError, match="float coefficients are not exact"):
+            rational(value, denominator)
 
 
 def test_rational_str_canonical():

@@ -1,10 +1,12 @@
-"""Every module of the package uses every name it imports (``__init__`` re-exports)
-and every module-level private name it defines."""
+"""Every module of the package uses every name it imports (``__init__`` re-exports
+exactly what it imports) and every module-level private name it defines."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import branchflow
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "branchflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -74,3 +76,16 @@ def test_scan_finds_unused_privates():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_privates(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    # both ways: a name deleted from a module leaves neither list behind
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert len(set(branchflow.__all__)) == len(branchflow.__all__)
+    assert set(branchflow.__all__) == imported

@@ -78,6 +78,8 @@ def test_normalizes_zero_coefficients():
 def test_rejects_floats():
     with pytest.raises(TypeError):
         asc({1: 0.5})
+    with pytest.raises(TypeError):  # a power too: 0.5 is not read as 1/2
+        asc({0: 1, 1: 1}, prec=4).pow(0.5)
 
 
 @pytest.mark.parametrize(

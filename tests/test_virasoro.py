@@ -8,7 +8,7 @@ import numbers
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -27,13 +27,13 @@ from branchflow import (
     commutator,
     corpus_monomials,
     default_corpus,
-    exp_op,
     exp_op_apply,
     kw_residual,
     load_fk_fixture,
     make_L,
     make_alpha,
     make_d,
+    op_sum,
     scan_grading,
     scan_heisenberg_commutators,
     scan_virasoro_commutators,
@@ -68,6 +68,17 @@ def test_qpoly_rejects_nonpositive_indices():
         QPoly({(0,): R(1)})
     with pytest.raises(ValueError):
         QPoly.monomial((-1, 2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: QPoly.monomial((1,), 0.1), lambda: QPoly({(2,): 0.5}), lambda: ONE.scale(0.1)],
+    ids=["monomial", "constructor", "scale"],
+)
+def test_qpoly_refuses_floats(build):
+    # 0.1 would enter as its binary value 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float coefficients are not exact"):
+        build()
 
 
 def test_qpoly_is_immutable():
@@ -137,9 +148,13 @@ def test_alpha_operators():
 
 
 def test_operator_metadata():
-    assert make_L(2).delta == -2
-    assert make_alpha(-4).delta == 4
-    assert make_d(5).delta == -5
+    # an operator is its name, its monomial image and the denominator of its weights
+    assert [f.name for f in fields(LinearOp)] == ["name", "image", "den"]
+    assert (make_L(2).name, make_L(2).den) == ("L[2]", 2)
+    assert (make_alpha(-4).name, make_alpha(-4).den) == ("alpha[-4]", 1)
+    assert (make_d(5).name, make_d(5).den) == ("d[5]", 1)
+    total = op_sum([(R(1, 3), make_L(2)), (R(-2), make_d(5))])
+    assert (total.name, total.den) == ("L[2]+d[5]", 6)
 
 
 # --- monomial images against the defining sums ----------------------------------
@@ -227,7 +242,7 @@ def test_operators_match_defining_sums_and_stay_canonical(p, q, c):
     def total(idx):
         return [(r, k * w) for k, ref in refs for r, w in ref(idx)]
 
-    results.append(exp_op_apply(ops, p))
+    results.append(exp_op_apply(op_sum(ops), p))
     assert results[-1] == ref_exp(total, p.terms)
     assert all(is_canonical(r) for r in results)
 
@@ -236,7 +251,7 @@ def test_operators_match_defining_sums_and_stay_canonical(p, q, c):
 @settings(max_examples=40)
 def test_one_exponential_serves_many_polynomials(ps, c):
     # the memoised images of one exponential must not bend any later result
-    exp = exp_op([(c, make_L(2)), (R(-1, 5), make_d(3))])
+    total_op = op_sum([(c, make_L(2)), (R(-1, 5), make_d(3))])
 
     def total(idx):
         return [(r, c * w) for r, w in ref_L(2, idx)] + [
@@ -244,7 +259,7 @@ def test_one_exponential_serves_many_polynomials(ps, c):
         ]
 
     for p in ps:
-        assert exp_op_apply(exp, p) == ref_exp(total, p.terms)
+        assert exp_op_apply(total_op, p) == ref_exp(total, p.terms)
 
 
 def test_exponential_builds_each_monomial_image_once():
@@ -255,13 +270,13 @@ def test_exponential_builds_each_monomial_image_once():
         calls[key] += 1
         return L1.image(key)
 
-    counted = [(R(1, 2), LinearOp("L[1]", -1, image, 2))]
+    counted = [(R(1, 2), LinearOp("L[1]", image, 2))]
     corpus = corpus_monomials(6)
-    exp = exp_op(counted)
-    results = [exp(p) for p in corpus]
+    total = op_sum(counted)
+    results = [exp_op_apply(total, p) for p in corpus]
     assert calls and set(calls.values()) == {1}
-    # a list of pairs builds a fresh exponential per call, with the same results
-    assert results == [exp_op_apply(counted, p) for p in corpus]
+    # a fresh sum per call builds its images again, with the same results
+    assert results == [exp_op_apply(op_sum(counted), p) for p in corpus]
     assert max(calls.values()) > 2
 
 
@@ -272,7 +287,7 @@ def test_results_are_int_numerators_in_lowest_terms(p, q, c):
     # gcd(denominator, numerators) = 1, so == on values is == on representations
     results = [p + q, p - q, p * q, -p, p.scale(c), p.scale(0), *p.weight_parts().values()]
     results += [make_L(m)(p) for m in (-3, 0, 2)] + [p.derivative(2), make_alpha(-3)(p)]
-    results.append(exp_op_apply([(c, make_L(1)), (R(1, 3), make_d(2))], p))
+    results.append(exp_op_apply(op_sum([(c, make_L(1)), (R(1, 3), make_d(2))]), p))
     for r in results:
         nums = list(r._num.values())
         assert r._den > 0 and all(isinstance(v, numbers.Integral) and v for v in nums)
@@ -290,8 +305,8 @@ def test_terms_view_reads_rationals_and_stays_read_only():
 
 
 def test_hand_built_operator_with_rational_weights():
-    # weights that are not integers over the operator's denominator still apply exactly
-    half_d1 = LinearOp("d[1]/2", -1, lambda key: [(k, R(1, 2) * w) for k, w in ref_d(key, 1)])
+    # rational weights, stated as integers over the operator's denominator: d_1 / 2
+    half_d1 = LinearOp("d[1]/2", lambda key: ref_d(key, 1), 2)
     assert half_d1(Q1 * Q1 * Q3) == (Q1 * Q3)
     assert half_d1(Q1) == ONE.scale(R(1, 2))
 
@@ -324,7 +339,7 @@ def test_grading_scan():
 def test_grading_reports_canonical_first_term(monkeypatch):
     # a mis-graded L_0: the weight-1 input q_1 lands in weight 2, whose
     # canonical first term is q_1^2 although the image lists q_2 first
-    bad = LinearOp("L[0]", 0, lambda key: [((2,), R(7)), ((1, 1), R(5))])
+    bad = LinearOp("L[0]", lambda key: [((2,), 7), ((1, 1), 5)])
     monkeypatch.setattr(virasoro, "make_L", lambda m: bad)
     report = check_grading(0, [Q1])
     assert report.status == FAIL
@@ -432,7 +447,7 @@ def wrong_L_minus_2(make_L_):
 
 def misgraded_L_0(make_L_):
     """L_0 sending every monomial to 7 q_2 + 5 q_1^2."""
-    bad = LinearOp("L[0]", 0, lambda key: [((2,), R(7)), ((1, 1), R(5))])
+    bad = LinearOp("L[0]", lambda key: [((2,), 7), ((1, 1), 5)])
     return lambda m: bad if m == 0 else make_L_(m)
 
 
@@ -441,7 +456,7 @@ def misgraded_L_0(make_L_):
 def test_scans_report_what_the_per_cell_loops_report(monkeypatch, fault):
     if fault is not None:
         monkeypatch.setattr(virasoro, "make_L", fault(virasoro.make_L))
-    corpus = default_corpus(6, 12, 0)  # the CLI's corpus at --weight 6
+    corpus = default_corpus(6, 0)  # the CLI's corpus at --weight 6
     engine = [
         *scan_virasoro_commutators(PAIRS, corpus),
         *scan_heisenberg_commutators(HEIS, corpus),
@@ -535,28 +550,36 @@ def test_jacobi_identity():
 
 
 def test_exp_rejects_non_lowering_operator():
-    with pytest.raises(ValueError):
-        exp_op_apply([(R(1), make_L(0))], Q1)
-    with pytest.raises(ValueError):
-        exp_op_apply([(R(1), make_alpha(-2))], Q1)
+    with pytest.raises(ValueError, match=r"L\[0\] does not lower weight"):
+        exp_op_apply(make_L(0), Q1)
+    with pytest.raises(ValueError, match=r"alpha\[-2\] does not lower weight"):
+        exp_op_apply(make_alpha(-2), Q1)
 
 
 def test_exp_rejects_operator_without_uniform_shift():
-    lower, raise_ = make_L(-1), make_L(1)
-    mixed = LinearOp("L[-1]+L[1]", None, lambda key: lower.image(key) + raise_.image(key), 2)
-    with pytest.raises(ValueError, match="no uniform weight shift"):
-        exp_op_apply([(R(1), mixed)], Q1)
+    # L_1 q_1 = 0, but L_-1 raises q_1 to q_2, which L_1 lowers to 2 q_1 again
+    mixed = op_sum([(1, make_L(-1)), (1, make_L(1))])
+    with pytest.raises(ValueError, match=r"L\[-1\]\+L\[1\] does not lower weight"):
+        exp_op_apply(mixed, Q1)
+
+
+def test_exp_returns_terminating_sums_exactly():
+    # neither operator lowers weight, but on these polynomials the sum ends
+    assert exp_op_apply(make_L(0), ONE) == ONE
+    assert exp_op_apply(make_L(0), ONE.scale(3)) == ONE.scale(3)
+    zero = QPoly()
+    assert exp_op_apply(make_alpha(-2), zero) == zero
 
 
 def test_exp_of_empty_sum_is_identity():
     p = Q1 * Q3
-    assert exp_op_apply([], p) == p
+    assert exp_op_apply(op_sum([]), p) == p
 
 
 def test_exp_single_shift():
     # exp(-b_3 d_5) q_5 = q_5 - 1/36
     b3 = R(1, 36)
-    out = exp_op_apply([(-b3, make_d(5))], QPoly.monomial((5,)))
+    out = exp_op_apply(op_sum([(-b3, make_d(5))]), QPoly.monomial((5,)))
     assert out == QPoly.monomial((5,)) - ONE.scale(b3)
 
 
@@ -565,8 +588,8 @@ def test_exp_group_law_on_commuting_shifts():
     A = [(c5, make_d(5))]
     B = [(c7, make_d(7))]
     p = QPoly.monomial((5, 7))
-    joint = exp_op_apply(A + B, p)
-    staged = exp_op_apply(A, exp_op_apply(B, p))
+    joint = exp_op_apply(op_sum(A + B), p)
+    staged = exp_op_apply(op_sum(A), exp_op_apply(op_sum(B), p))
     assert joint == staged
     assert joint.coefficient(()) == c5 * c7
 
@@ -613,6 +636,27 @@ def test_factorization_reports_a_perturbed_b3():
     assert report.first_mismatch.exponent == 0
     assert report.first_mismatch.lhs == "-1/36"
     assert report.first_mismatch.rhs == "-43/252"
+
+
+def test_factorization_builds_each_L_image_once(monkeypatch):
+    # both sides read one sum of the l_m L_2m: 1,632 (m, monomial) pairs at
+    # weight 12, each built once
+    calls = Counter()
+    make_L_ = virasoro.make_L
+
+    def counted(m):
+        L = make_L_(m)
+
+        def image(key):
+            calls[m, key] += 1
+            return L.image(key)
+
+        return replace(L, image=image)
+
+    monkeypatch.setattr(virasoro, "make_L", counted)
+    assert verify_factorization(12).status == PASS
+    assert len(calls) == 1632
+    assert sum(calls.values()) == 1632
 
 
 def test_factorization_memo_lives_for_one_check():

@@ -118,7 +118,10 @@ def time_once(src, op, n):
     """(seconds, peak RSS in KiB) of one fresh interpreter."""
     _, setup, stmt = OPS[op]
     code = CHILD.format(src=src, n=n, setup=setup, stmt=stmt)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # bytecode caching on, as for an installed package: a copy of src/ without
+    # __pycache__ would otherwise recompile every module in every interpreter
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     if done.returncode != 0:
         raise SystemExit(f"{op} at order {n} failed:\n{done.stderr}")
     seconds, kib = done.stdout.split()[-2:]

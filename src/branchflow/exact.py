@@ -33,6 +33,11 @@ def rational(value, denominator=None):
     return value if type(value) is Rational else Rational(value)
 
 
+def check_int(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 def rational_str(value) -> str:
     """Canonical ``num/den`` rendering (plain ``num`` when integral)."""
     return str(Rational(value))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import ONE, ZERO, Rational, Row, rational, rational_str
+from .exact import ONE, ZERO, Rational, Row, check_int, rational, rational_str
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -51,11 +51,6 @@ class TruncationError(SeriesError):
     """Operation needs a finite truncation window it was not given."""
 
 
-def _check_int(value, what):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an int, got {value!r}")
-
-
 class GradedSeries:
     __slots__ = ("direction", "_row", "prec")
 
@@ -63,11 +58,11 @@ class GradedSeries:
         if direction not in (ASCENDING, DESCENDING):
             raise SeriesError(f"unknown direction {direction!r}")
         if prec is not None:
-            _check_int(prec, "prec")
+            check_int(prec, "prec")
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                _check_int(e, "an exponent")
+                check_int(e, "an exponent")
                 c = rational(c)
                 if c == 0:
                     continue

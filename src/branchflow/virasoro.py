@@ -12,11 +12,11 @@ by op_sum the lcm of the c_i op_i denominators.  Weight (the sum of q-indices
 of a monomial) is the grading: L_m lowers it by m, and the exponential of an
 operator that lowers it terminates on every polynomial.
 
-The only memo of images that outlives one polynomial lives in an operator
-op_sum returns and dies with it: verify_factorization holds three of them (in
-factorization_sides) for one check -- the sum of the l_m L_2m, which both sides
-read, and the two sums built on it and on the shifts -- and drops them when it
-returns.
+A checked identity lists each side once, as (coefficient, operator or None,
+row) terms.  Its residual, sum lhs - sum rhs, goes into one dict of int
+numerators over one denominator and is tested for zero; the two sides are built
+only when it is not.  The only memo of images that outlives one polynomial lives
+in an operator op_sum returns, and dies with it after one factorization check.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ import json
 import random
 import re
 from reprlib import repr as _short
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from math import lcm
 
-from .exact import ONE, Rational, Row, ZERO, rational
+from .exact import ONE, Rational, Row, ZERO, check_int, rational
 from .report import VerificationReport, failed, passed, skipped, start_clock
 
 FIXTURE_RESOURCE = "fk_fixture.json"
@@ -58,6 +58,8 @@ class QPoly(Row):
     def __init__(self, terms=None):
         summed: dict = {}  # keys that canonicalise to one monomial are summed
         for key, coeff in (terms or {}).items():
+            for i in key:
+                check_int(i, "a q-index")
             if coeff != 0 and any(i < 1 for i in key):
                 raise ValueError(f"q-indices must be positive, got {key}")
             summed[_key(key)] = summed.get(_key(key), 0) + rational(coeff)
@@ -134,16 +136,35 @@ class LinearOp:
     den: int = 1
 
     def __call__(self, p: QPoly) -> QPoly:
-        out: dict = {}
-        get = out.get
-        for key, num in p._num.items():
-            for ikey, weight in self.image(key):
-                out[ikey] = get(ikey, 0) + weight * num
-        return QPoly._canon(out, p._den * self.den)
+        return QPoly._canon(_add({}, 1, self, p), p._den * self.den)
+
+
+def _add(out: dict, f: int, op, row) -> dict:
+    """``out`` plus f op(row), all int numerators; op None is the identity."""
+    get = out.get
+    image = op.image if op else lambda key: ((key, 1),)
+    for key, num in row._num.items():
+        fn = f * num
+        for ikey, weight in image(key):
+            out[ikey] = get(ikey, 0) + weight * fn
+    return out
+
+
+def _accumulate(lhs, rhs=()):
+    """sum c op(row) over the (coefficient, operator or None, row) terms of ``lhs``
+    minus that sum over ``rhs``: int numerators, zeros kept, over one denominator."""
+    sides = ((1, lhs), (-1, rhs))
+    dens = [c.denominator * (op.den if op else 1) * row._den for _, s in sides for c, op, row in s]
+    den, out, next_den = lcm(*dens), {}, iter(dens).__next__
+    for sign, side in sides:
+        for c, op, row in side:
+            _add(out, sign * c.numerator * (den // next_den()), op, row)
+    return out, den
 
 
 def make_L(m: int) -> LinearOp:
     """The Virasoro operator L_m over the denominator 2, read off its three sums."""
+    check_int(m, "the index of L")
     products = [(i, -m - i) for i in range(1, -m)]
 
     def image(key):
@@ -162,6 +183,7 @@ def make_L(m: int) -> LinearOp:
 
 def make_alpha(n: int) -> LinearOp:
     """Heisenberg operator: q_{-n} multiplication for n < 0, n d/dq_n for n > 0."""
+    check_int(n, "the index of alpha")
     if n == 0:
         raise ValueError("alpha_0 is the zero operator; it has no basic form")
     if n < 0:
@@ -170,6 +192,7 @@ def make_alpha(n: int) -> LinearOp:
 
 
 def make_d(j: int) -> LinearOp:
+    check_int(j, "the index of d")
     return LinearOp(f"d[{j}]", lambda key: _d(key, j))
 
 
@@ -177,13 +200,13 @@ def commutator(A: LinearOp, B: LinearOp, p: QPoly) -> QPoly:
     return A(B(p)) - B(A(p))
 
 
-def _first_mismatch(sides):
-    """None if lhs == rhs for every (lhs, rhs) of ``sides``, else (weight, lhs, rhs)
-    at the first differing term, in canonical order, of the first differing pair."""
-    for lhs, rhs in sides:
-        if lhs == rhs:  # canonical forms: equal values, equal representations
+def _first_mismatch(pairs):
+    """(weight, lhs, rhs) at the first differing term, in canonical order, of the
+    first (lhs, rhs) pair of term lists with a non-zero residual, or None."""
+    for lhs, rhs in pairs:
+        if not any(_accumulate(lhs, rhs)[0].values()):
             continue
-        (nl, dl), (nr, dr) = (lhs._num, lhs._den), (rhs._num, rhs._den)
+        (nl, dl), (nr, dr) = _accumulate(lhs), _accumulate(rhs)
         for key in sorted(nl.keys() | nr.keys(), key=lambda k: (sum(k), k)):
             cl, cr = nl.get(key, 0), nr.get(key, 0)
             if cl * dr != cr * dl:
@@ -191,20 +214,22 @@ def _first_mismatch(sides):
     return None
 
 
-def _scan(identity, order, t0, corpus, cells, sides, skip=()) -> list:
-    """One report per cell, in the order of ``cells``.  The corpus is walked once:
-    ``sides(p)`` maps a cell to its (lhs, rhs) pairs on ``p``, and is asked only
-    for cells that have not failed yet.  A cell FAILs at the first polynomial, in
-    corpus order, whose pairs differ; every image ``sides(p)`` memoises lives for
-    ``p`` alone.  A cell's elapsed time runs from ``t0`` until its verdict."""
+def _scan(identity, order, t0, corpus, cells, sides, skip=(), mirror=lambda cell: None) -> list:
+    """One report per cell, in the order of ``cells``, from one walk of the corpus.
+    A cell FAILs at the first p where a (lhs, rhs) pair of term lists of
+    ``sides(p)(cell)`` has a non-zero residual; on p it is not asked if it failed,
+    or if ``mirror(cell)``, whose residual is minus its own, passed.  Images that
+    ``sides(p)`` memoises live for p alone; elapsed time runs from ``t0`` on."""
     order = order if order is not None else max(p.max_weight() for p in corpus)
     reports = {cell: skipped(identity, order, t0) for cell in skip}
     for p in corpus:
-        on_p = sides(p)
+        on_p, clean = sides(p), set()
         for cell in cells:
-            if cell not in reports:
+            if cell not in reports and mirror(cell) not in clean:
                 mismatch = _first_mismatch(on_p(cell))
-                if mismatch is not None:
+                if mismatch is None:
+                    clean.add(cell)
+                else:
                     reports[cell] = failed(identity, order, t0, *mismatch)
     return [reports[cell] if cell in reports else passed(identity, order, t0) for cell in cells]
 
@@ -253,44 +278,35 @@ def default_corpus(weight_bound: int = 9, seed: int = 0) -> list:
 
 # --- commutation checks ---------------------------------------------------------
 #
-# Each scan takes its cells as index tuples and walks the corpus once, building
-# every operator image it needs once per polynomial: L_k p and the composites
-# L_m L_n p are shared by all the cells that read them.  The check_* functions
-# are one-cell scans.  Operators come from the module globals make_L and
-# make_alpha, looked up when a scan starts.
+# Each scan takes its cells as index tuples and walks the corpus once.  Its terms
+# read the rows L_k p and alpha_j p, built once per polynomial; a composite such
+# as L_m L_n p goes straight into a residual and is never built.  The check_*
+# functions are one-cell scans.  Operators come from the module globals make_L
+# and make_alpha, looked up when a scan starts.
 
 
 def scan_virasoro_commutators(cells, corpus, order=None) -> list:
     """[L_m, L_n] = (m-n) L_{m+n} + (m^3 - m)/12 on m + n = 0, per (m, n) cell.
 
-    Cells are checked in mirror pairs, (m, n) next to (n, m): the two composites
-    L_m L_n p and L_n L_m p that both read are built by the first and dropped by
-    the second, so few of them are alive at once, whatever the range."""
+    Swapping m and n negates both sides (checked here for the central term), so
+    (n, m) takes the verdict of (m, n) on each polynomial: L_m L_n p and L_n L_m p
+    are applied once for the two cells, and L_m L_m p once, times 1 - 1."""
     t0 = start_clock()
     L = {k: make_L(k) for k in sorted({k for m, n in cells for k in (m, n, m + n)})}
     central = {(m, n): Rational(m ** 3 - m, 12) if m + n == 0 else ZERO for m, n in cells}
-    mirrored = sorted(cells, key=lambda cell: (sorted(cell), cell))
+    mirror = {(m, n): (n, m) for m, n in cells if central.get((n, m)) == -central[(m, n)]}
 
     def sides(p):
         Lp = cache(lambda k: L[k](p))
-        held = {}  # (m, n) -> (L_m L_n p, L_n L_m p), until cell (n, m) takes it
 
         def on_p(cell):
             m, n = cell
-            if (n, m) in held:
-                LnLm, LmLn = held.pop((n, m))
-            else:
-                LmLn = L[m](Lp(n))
-                LnLm = LmLn if m == n else L[n](Lp(m))
-                if m != n:
-                    held[cell] = LmLn, LnLm
-            return ((LmLn - LnLm, QPoly._combine(((m - n, Lp(m + n)), (central[cell], p)))),)
+            bracket = [(1, L[m], Lp(n)), (-1, L[n], Lp(m))] if m != n else [(0, L[m], Lp(m))]
+            return ((bracket, [(m - n, None, Lp(m + n)), (central[cell], None, p)]),)
 
         return on_p
 
-    reports = _scan("virasoro-commutators", order, t0, corpus, mirrored, sides)
-    by_cell = dict(zip(mirrored, reports))
-    return [by_cell[cell] for cell in cells]
+    return _scan("virasoro-commutators", order, t0, corpus, cells, sides, mirror=mirror.get)
 
 
 def scan_heisenberg_commutators(cells, corpus, order=None) -> list:
@@ -299,7 +315,7 @@ def scan_heisenberg_commutators(cells, corpus, order=None) -> list:
     live = [(n, k) for n, k in cells if n + k]
     alpha = {j: make_alpha(j) for j in sorted({j for n, k in live for j in (n, n + k)})}
     L = {k: make_L(k) for k in sorted({k for _, k in live})}
-    inverse = {n: Rational(1, n) for n, _ in live}
+    inverse = {n: (Rational(1, n), Rational(-1, n)) for n, _ in live}
 
     def sides(p):
         ap = cache(lambda j: alpha[j](p))
@@ -307,9 +323,8 @@ def scan_heisenberg_commutators(cells, corpus, order=None) -> list:
 
         def on_p(cell):
             n, k = cell
-            inv = inverse[n]
-            lhs = QPoly._combine(((inv, alpha[n](Lp(k))), (-inv, L[k](ap(n)))))
-            return ((lhs, ap(n + k)),)
+            inv, minus = inverse[n]
+            return (([(inv, alpha[n], Lp(k)), (minus, L[k], ap(n))], [(1, None, ap(n + k))]),)
 
         return on_p
 
@@ -321,20 +336,16 @@ def scan_grading(cells, corpus, order=None) -> list:
     """L_m maps a weight-w monomial to a weight-(w - m) polynomial or to zero,
     per (m,) cell: the part of each image outside weight w - m must vanish."""
     t0 = start_clock()
-    L = {m: make_L(m) for m in sorted({cell[0] for cell in cells})}
-    zero = QPoly._of({}, 1)
+
+    def stray(m):  # L_m, keeping only the image terms off weight w - m
+        L = make_L(m)
+        return replace(L, image=lambda key: [t for t in L.image(key) if sum(t[0]) != sum(key) - m])
+
+    strays = {m: stray(m) for m in sorted({cell[0] for cell in cells})}
 
     def sides(p):
-        parts = p.weight_parts().items()
-
-        def on_p(cell):
-            (m,) = cell
-            for w, part in parts:
-                image = L[m](part)
-                stray = {key: v for key, v in image._num.items() if sum(key) != w - m}
-                yield QPoly._canon(stray, image._den), zero
-
-        return on_p
+        parts = p.weight_parts().values()
+        return lambda cell: (([(1, strays[cell[0]], part)], []) for part in parts)
 
     return _scan("grading", order, t0, corpus, cells, sides)
 
@@ -423,9 +434,8 @@ def verify_factorization(
     t0 = start_clock()
     corpus = corpus if corpus is not None else corpus_monomials(weight_bound)
     lhs, rhs = factorization_sides(weight_bound, l_values, b_values)
-    (report,) = _scan(
-        "factorization", weight_bound, t0, corpus, [()], lambda p: lambda _: ((lhs(p), rhs(p)),)
-    )
+    sides = lambda p: lambda _: (([(1, None, lhs(p))], [(1, None, rhs(p))]),)
+    (report,) = _scan("factorization", weight_bound, t0, corpus, [()], sides)
     return report
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +50,16 @@ def test_times_each_order_in_a_fresh_interpreter(op):
     package = SCRIPT.parent.parent / "src" / "branchflow"
     lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in package.glob("*.py"))
     assert out["src_lines"] == lines
+
+
+def test_children_compile_the_timed_src(tmp_path, monkeypatch):
+    # a copy of src/ with no __pycache__ gets its bytecode written by the first
+    # child, whatever PYTHONDONTWRITEBYTECODE says where the script runs
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    package = SCRIPT.parent.parent / "src" / "branchflow"
+    copy = tmp_path / "src" / "branchflow"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    load_growth().time_once(str(copy.parent), "mul", 4)
+    compiled = {path.name.split(".")[0] for path in (copy / "__pycache__").glob("*.pyc")}
+    imported = {path.stem for path in package.glob("*.py")} - {"__main__", "cli"}
+    assert imported <= compiled

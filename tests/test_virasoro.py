@@ -5,6 +5,8 @@ free-energy fixture."""
 import json
 import math
 import numbers
+import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -68,6 +70,28 @@ def test_qpoly_rejects_nonpositive_indices():
         QPoly({(0,): R(1)})
     with pytest.raises(ValueError):
         QPoly.monomial((-1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, index",
+    [
+        (lambda: QPoly({(True,): R(1)}), "True"),
+        (lambda: QPoly({(1.5,): R(1)}), "1.5"),
+        (lambda: QPoly.monomial((2, 1.0)), "1.0"),
+        (lambda: make_L(0.5), "0.5"),
+        (lambda: make_L(False), "False"),
+        (lambda: make_alpha(1.5), "1.5"),
+        (lambda: make_alpha(True), "True"),
+        (lambda: make_d(2.0), "2.0"),
+        (lambda: Q3.derivative(True), "True"),
+    ],
+    ids=["qpoly-bool", "qpoly-float", "monomial", "L-float", "L-bool", "alpha-float",
+         "alpha-bool", "d-float", "derivative-bool"],
+)
+def test_q_indices_must_be_ints(build, index):
+    # True once passed as q_1 and printed as qTrue; alpha_{1.5} acted as zero
+    with pytest.raises(TypeError, match=rf"must be an int, got {re.escape(index)}$"):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -479,54 +503,101 @@ def test_scans_report_what_the_per_cell_loops_report(monkeypatch, fault):
 
 
 def test_scans_apply_each_image_once_per_polynomial(monkeypatch):
+    # every operator a scan makes counts its image of each monomial it reads, so
+    # applying op to a row counts once at each monomial of the row
     calls = Counter()
 
     def counting(make):
         def make_counted(i):
             op = make(i)
 
-            def apply(p):
-                calls[op.name] += 1
-                return op(p)
+            def image(key):
+                calls[op.name, key] += 1
+                return op.image(key)
 
-            return apply
+            return replace(op, image=image)
 
         return make_counted
 
-    monkeypatch.setattr(virasoro, "make_L", counting(virasoro.make_L))
-    monkeypatch.setattr(virasoro, "make_alpha", counting(virasoro.make_alpha))
+    monkeypatch.setattr(virasoro, "make_L", counting(make_L))
+    monkeypatch.setattr(virasoro, "make_alpha", counting(make_alpha))
     corpus = corpus_monomials(4)
-    per_p = Counter()
+    expected = Counter()
 
-    def expect(name, times=1):
-        per_p[name] += times
+    def expect(op, row):
+        expected.update((op.name, key) for key in row.terms)
 
     # L_k p for every k in the cells and their sums, then L_m (L_n p) per ordered pair
     assert all(r.status == PASS for r in scan_virasoro_commutators(PAIRS, corpus))
-    for k in range(-6, 7):
-        expect(f"L[{k}]")
-    for m, n in PAIRS:
-        expect(f"L[{m}]")
-    assert calls == Counter({name: c * len(corpus) for name, c in per_p.items()})
+    for p in corpus:
+        for k in range(-6, 7):
+            expect(make_L(k), p)
+        for m, n in PAIRS:
+            expect(make_L(m), make_L(n)(p))
+    assert calls == expected
 
     # alpha_j p and L_k p once each, then alpha_n (L_k p) and L_k (alpha_n p) per live cell
-    calls.clear(), per_p.clear()
+    calls.clear(), expected.clear()
     reports = scan_heisenberg_commutators(HEIS, corpus)
     live = [(n, k) for n, k in HEIS if n + k]
     assert [r.status for r in reports] == [PASS if n + k else SKIPPED for n, k in HEIS]
-    for j in {j for n, k in live for j in (n, n + k)}:
-        expect(f"alpha[{j}]")
-    for k in {k for _, k in live}:
-        expect(f"L[{k}]")
-    for n, k in live:
-        expect(f"alpha[{n}]")
-        expect(f"L[{k}]")
-    assert calls == Counter({name: c * len(corpus) for name, c in per_p.items()})
+    for p in corpus:
+        for j in {j for n, k in live for j in (n, n + k)}:
+            expect(make_alpha(j), p)
+        for k in {k for _, k in live}:
+            expect(make_L(k), p)
+        for n, k in live:
+            expect(make_alpha(n), make_L(k)(p))
+            expect(make_L(k), make_alpha(n)(p))
+    assert calls == expected
 
     # each monomial is one weight part: one L_m image per cell
-    calls.clear()
+    calls.clear(), expected.clear()
     assert all(r.status == PASS for r in scan_grading([(m,) for m in SPAN], corpus))
-    assert calls == Counter({f"L[{m}]": len(corpus) for m in SPAN})
+    for p in corpus:
+        for m in SPAN:
+            expect(make_L(m), p)
+    assert calls == expected
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_scans_match_the_per_cell_loops_under_a_perturbed_weight(seed):
+    # one integer weight of one L_m image, at one monomial of the corpus, is off:
+    # every cell, (n, m) next to (m, n) included, must report what its loop does
+    rng = random.Random(seed)
+    corpus = corpus_monomials(rng.randint(1, 5))
+    bad, target = rng.choice(
+        [(m, key) for m in SPAN for p in corpus for key in p.terms if make_L(m).image(key)]
+    )
+    at = rng.randrange(len(make_L(bad).image(target)))
+    delta = rng.choice([-3, -2, -1, 1, 2, 3])
+
+    def perturbed(k):
+        L = make_L(k)
+        if k != bad:
+            return L
+
+        def image(key):
+            terms = list(L.image(key))
+            if key == target:
+                ikey, weight = terms[at]
+                terms[at] = ikey, weight + delta
+            return terms
+
+        return replace(L, image=image)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(virasoro, "make_L", perturbed)
+        engine = [
+            *scan_virasoro_commutators(PAIRS, corpus),
+            *scan_heisenberg_commutators(HEIS, corpus),
+        ]
+        oracle = [
+            *(oracle_virasoro(m, n, corpus) for m, n in PAIRS),
+            *(oracle_heisenberg(n, k, corpus) for n, k in HEIS),
+        ]
+    assert [outcome(r) for r in engine] == [outcome(r) for r in oracle]
 
 
 def test_jacobi_identity():

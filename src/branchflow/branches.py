@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ONE, Rational, Row, double_factorial, factorial
-from .report import compare_series, start_clock
+from .report import verifier
 from .series import ASCENDING, GradedSeries, cosh, coth, csch
 
 
@@ -137,67 +137,53 @@ def _gaussian(order: int) -> GradedSeries:
     return GradedSeries.monomial(2, Rational(-1, 2), ASCENDING).truncate(order + 1).exp()
 
 
-def verify_b_family(order: int = 40, values=None) -> "VerificationReport":
+@verifier("v-ode")
+def verify_b_family(order: int, values=None):
     """Recurrence vs reversion oracle, the defining ODE, and the closed form."""
-    t0 = start_clock()
     bs = values if values is not None else coeffs_b(order).values
     rec = GradedSeries(ASCENDING, {i + 1: c for i, c in enumerate(bs)}, prec=order + 1)
     orc = GradedSeries(
         ASCENDING, {i: c for i, c in enumerate(oracle_b(order).values, start=1)}, prec=order + 1
     )
-    rep = compare_series("v-ode", order, rec, orc, range(1, order + 1), t0)
-    if rep.status != "PASS":
-        return rep
+    yield rec, orc, range(1, order + 1)
 
     v = GradedSeries(ASCENDING, {0: ONE, **{i + 1: c for i, c in enumerate(bs)}}, prec=order + 1)
-    z = GradedSeries.identity(ASCENDING)
-    lhs = v.derivative() * (v - 1)
-    rhs = z * v
-    rep = compare_series("v-ode", order, lhs, rhs, range(0, order), t0)
-    if rep.status != "PASS":
-        return rep
+    yield v.derivative() * (v - 1), GradedSeries.identity(ASCENDING) * v, range(0, order)
 
     # v e^{1-v} = e^{-z^2/2}, both sides divided by e
-    lhs = v * (-(v - 1)).exp()
-    rhs = _gaussian(order)
-    return compare_series("v-ode", order, lhs, rhs, range(0, order + 1), t0)
+    yield v * (-(v - 1)).exp(), _gaussian(order), range(0, order + 1)
 
 
-def verify_c_family(order: int = 40, values=None) -> "VerificationReport":
+@verifier("karamata")
+def verify_c_family(order: int, values=None):
     """Recurrence vs reversion oracle plus (1+mu)e^-mu = (1-x)e^x."""
-    t0 = start_clock()
     cs = values if values is not None else coeffs_c(order).values
     rec = GradedSeries(ASCENDING, {i + 1: c for i, c in enumerate(cs)}, prec=order + 1)
     orc = GradedSeries(
         ASCENDING, {i: c for i, c in enumerate(oracle_c(order).values, start=1)}, prec=order + 1
     )
-    rep = compare_series("karamata", order, rec, orc, range(1, order + 1), t0)
-    if rep.status != "PASS":
-        return rep
+    yield rec, orc, range(1, order + 1)
 
     x = GradedSeries.identity(ASCENDING, prec=order + 1)
     mu = GradedSeries(ASCENDING, {i + 1: c for i, c in enumerate(cs)}, prec=order + 1)
-    lhs = (1 + mu) * (-mu).exp()
-    rhs = (1 - x) * x.exp()
-    return compare_series("karamata", order, lhs, rhs, range(0, order + 1), t0)
+    yield (1 + mu) * (-mu).exp(), (1 - x) * x.exp(), range(0, order + 1)
 
 
-def verify_K_functional(order: int = 40, K=None) -> "VerificationReport":
+@verifier("k-functional")
+def verify_K_functional(order: int, K=None):
     """e^{-z^2/2} = K e^{1 - K coth K} csch K, both sides divided by e."""
-    t0 = start_clock()
     # csch K = 1/sinh K loses two orders of K's window, and multiplying by K
     # wins one back, so K is needed through x^(order+1)
     KK = K if K is not None else series_K(order + 1)
     csch_K = csch(KK)
     k_coth_k = KK * cosh(KK) * csch_K
     rhs = KK * (1 - k_coth_k).exp() * csch_K
-    lhs = _gaussian(order)
-    return compare_series("k-functional", order, lhs, rhs, range(0, order + 1), t0)
+    yield _gaussian(order), rhs, range(0, order + 1)
 
 
-def verify_K_integral(order: int = 40, K=None) -> "VerificationReport":
+@verifier("k-integral")
+def verify_K_integral(order: int, K=None):
     """K^2 coth K - K = sum b_{2i+1}/(2i+3) z^{2i+3}."""
-    t0 = start_clock()
     # K^2 coth K keeps the window of K
     KK = K if K is not None else series_K(order)
     lhs = KK * KK * coth(KK) - KK
@@ -205,18 +191,13 @@ def verify_K_integral(order: int = 40, K=None) -> "VerificationReport":
     rhs = GradedSeries(
         ASCENDING, {e: bs[e - 2] / e for e in range(3, order + 1, 2)}, prec=order + 1
     )
-    return compare_series("k-integral", order, lhs, rhs, range(0, order + 1), t0)
+    yield lhs, rhs, range(0, order + 1)
 
 
-def verify_w0(order: int = 40, w0=None) -> "VerificationReport":
+@verifier("w0-reversion")
+def verify_w0(order: int, w0=None):
     """Taylor coefficients vs reversion of t e^t, and W0 e^{W0} = z."""
-    t0 = start_clock()
     taylor = w0 if w0 is not None else series_w0(order)
-    rep = compare_series(
-        "w0-reversion", order, taylor, w0_by_reversion(order), range(1, order + 1), t0
-    )
-    if rep.status != "PASS":
-        return rep
+    yield taylor, w0_by_reversion(order), range(1, order + 1)
     lhs = taylor * taylor.exp()
-    rhs = GradedSeries.identity(ASCENDING, prec=order + 1)
-    return compare_series("w0-reversion", order, lhs, rhs, range(1, order + 1), t0)
+    yield lhs, GradedSeries.identity(ASCENDING, prec=order + 1), range(1, order + 1)

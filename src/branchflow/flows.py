@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .branches import coeffs_b, coeffs_c, series_K
 from .exact import ONE, Rational, Row, ZERO, bernoulli, factorial, rational
-from .report import compare_series, passed, start_clock
+from .report import verifier
 from .series import (
     ASCENDING,
     DESCENDING,
@@ -319,32 +319,32 @@ def series_mu(order: int) -> GradedSeries:
 # --- verifiers ----------------------------------------------------------------
 
 
-def verify_prop_hy(order: int = 40, h=None) -> "VerificationReport":
+@verifier("prop-hy")
+def verify_prop_hy(order: int, h=None):
     """h(y(z)) = theta(f(z))."""
-    t0 = start_clock()
     # a descending composition keeps the window its outer and inner share
     hh = h if h is not None else series_h(order)
     lhs = hh.compose(series_y(order))
     rhs = series_theta(order).compose(series_f(order))
-    return compare_series("prop-hy", order, lhs, rhs, range(1, -order, -1), t0)
+    yield lhs, rhs, range(1, -order, -1)
 
 
-def verify_lemma_yk(order: int = 40, K=None) -> "VerificationReport":
+@verifier("lemma-yk")
+def verify_lemma_yk(order: int, K=None):
     """1/y = K(1/f), with 1/f the multiplicative reciprocal."""
-    t0 = start_clock()
     # the order coefficients of 1/y from z^-1 are 1/y at order - 1; 1/f keeps
     # the order of f, and K known below x^(order+1) makes K(1/f) known above
     # z^-(order+1)
     KK = K if K is not None else series_K(order)
     lhs = _y_inverse(order - 1)
     rhs = KK.compose(series_f(order - 1).reciprocal())
-    return compare_series("lemma-yk", order, lhs, rhs, range(-1, -order - 1, -1), t0)
+    yield lhs, rhs, range(-1, -order - 1, -1)
 
 
-def verify_iden(order: int = 40, e=None, ahat=None) -> "VerificationReport":
+@verifier("iden")
+def verify_iden(order: int, e=None, ahat=None):
     """The headline identity: the backward flow of f_+ and the forward flow of
     theta(f) both reproduce the compositional inverse of f_+."""
-    t0 = start_clock()
     fplus = series_f_plus(order)
     a_hat = ahat if ahat is not None else flow_solve(fplus, count=order)
     theta_f = series_theta(order).compose(series_f(order))
@@ -353,79 +353,53 @@ def verify_iden(order: int = 40, e=None, ahat=None) -> "VerificationReport":
     lhs = flow_apply(a_hat.with_sign(-1), z)
     rhs = flow_apply(e_fam.with_sign(1), z)
     window = range(1, -order, -1)
-    rep = compare_series("iden", order, lhs, rhs, window, t0)
-    if rep.status != "PASS":
-        return rep
-    return compare_series("iden", order, lhs, fplus.revert(), window, t0)
+    yield lhs, rhs, window
+    yield lhs, fplus.revert(), window
 
 
-def verify_fplus_functional(order: int = 40, H=None) -> "VerificationReport":
+@verifier("fplus-functional")
+def verify_fplus_functional(order: int, H=None):
     """f_+ and E satisfy the branch-pair equation (1-x)e^x = (1+mu)e^{-mu}.
 
     Checked in the z variable with x~ = 1/(1+f_+), mu~ = sqrt(x~^2 + (4/3)z^{-3}),
     then in the x variable with E = 1 + sqrt(x^2 + 4/(3H^3)), and finally E - 1
     is matched against the mu coefficient family itself.
     """
-    t0 = start_clock()
     # both sides are known two orders past f_+'s window edge, and z^-order
     # must be known: f_+ at order - 1, but at least 1 so 1 + f_+ has its z^0
     fplus = series_f_plus(max(order - 1, 1))
     x_t = (1 + fplus).reciprocal()
     z_cubed = GradedSeries.monomial(-3, Rational(4, 3), DESCENDING)
     mu_t = (x_t * x_t + z_cubed).pow(Rational(1, 2))
-    lhs = (1 - x_t) * x_t.exp()
-    rhs = (1 + mu_t) * (-mu_t).exp()
-    rep = compare_series(
-        "fplus-functional", order, lhs, rhs, range(0, -order - 1, -1), t0
-    )
-    if rep.status != "PASS":
-        return rep
+    yield (1 - x_t) * x_t.exp(), (1 + mu_t) * (-mu_t).exp(), range(0, -order - 1, -1)
 
     E = series_E(order, H=H)
     x = GradedSeries.identity(ASCENDING, prec=order + 1)
-    lhs = (1 - x) * x.exp()
-    rhs = E * (1 - E).exp()
-    rep = compare_series("fplus-functional", order, lhs, rhs, range(0, order + 1), t0)
-    if rep.status != "PASS":
-        return rep
-    return compare_series(
-        "fplus-functional", order, E - 1, series_mu(order), range(1, order + 1), t0
-    )
+    yield (1 - x) * x.exp(), E * (1 - E).exp(), range(0, order + 1)
+    yield E - 1, series_mu(order), range(1, order + 1)
 
 
-def verify_flow_laws(order: int = 40, seed: int = 0, a=None) -> "VerificationReport":
+@verifier("flow-laws")
+def verify_flow_laws(order: int, seed: int = 0, a=None):
     """Round trip, automorphism law, composition law, inverse law, closed form."""
-    t0 = start_clock()
-    name = "flow-laws"
     f = series_f(order)
     a_fam = a if a is not None else flow_solve(f, count=order)
     z = GradedSeries.identity(DESCENDING)
 
     # round trip: applying the solved generator reproduces the target
     flowed_z = flow_apply(a_fam, z)
-    rep = compare_series(name, order, flowed_z, f, range(1, -order, -1), t0)
-    if rep.status != "PASS":
-        return rep
+    yield flowed_z, f, range(1, -order, -1)
 
     # automorphism law: exp(D) g = g(exp(D) z) for any series g; no image is
     # known at z^-order, and the K sample starts at z^-1
     depth = order - 2
     for g in (series_theta(order), f, series_K(order).invert_variable()):
-        lhs = flow_apply(a_fam, g)
-        rhs = g.compose(flowed_z)
-        window = range(g.lead, g.lead - depth - 1, -1)
-        rep = compare_series(name, order, lhs, rhs, window, t0)
-        if rep.status != "PASS":
-            return rep
+        yield flow_apply(a_fam, g), g.compose(flowed_z), range(g.lead, g.lead - depth - 1, -1)
 
     # composition law: exp(A) exp(-L) z = theta(f) with A from f, L from theta
     l_fam = flow_solve(series_theta(order), count=order // 2, law=LAW_EVEN, sign=-1)
     inner = flow_apply(l_fam, z)
-    lhs = flow_apply(a_fam, inner)
-    rhs = series_theta(order).compose(f)
-    rep = compare_series(name, order, lhs, rhs, range(1, -depth, -1), t0)
-    if rep.status != "PASS":
-        return rep
+    yield flow_apply(a_fam, inner), series_theta(order).compose(f), range(1, -depth, -1)
 
     # inverse law: the sign-flipped flow is the compositional inverse
     rng = random.Random(seed)
@@ -434,9 +408,7 @@ def verify_flow_laws(order: int = 40, seed: int = 0, a=None) -> "VerificationRep
     )
     plus = flow_apply(c, z)
     minus = flow_apply(c.with_sign(-1), z)
-    rep = compare_series(name, order, minus, plus.revert(), range(1, -4, -1), t0)
-    if rep.status != "PASS":
-        return rep
+    yield minus, plus.revert(), range(1, -4, -1)
 
     # closed form: {a_2 = a} integrates to sqrt(z^2 + 2a); the explicit zero
     # tail widens the generator window so the flow is exact to depth
@@ -445,17 +417,12 @@ def verify_flow_laws(order: int = 40, seed: int = 0, a=None) -> "VerificationRep
             fc = FlowCoeffs((ZERO, a_val) + (ZERO,) * order, sign=sign)
             flowed = flow_apply(fc, GradedSeries.identity(DESCENDING, prec=-order))
             closed = GradedSeries(DESCENDING, {2: ONE, 0: 2 * sign * a_val}, prec=-order)
-            rep = compare_series(
-                name, order, flowed, closed.pow(Rational(1, 2)), range(1, -order + 2, -1), t0
-            )
-            if rep.status != "PASS":
-                return rep
-    return passed(name, order, t0)
+            yield flowed, closed.pow(Rational(1, 2)), range(1, -order + 2, -1)
 
 
-def verify_nz_identity(order: int = 41, bernoulli_fn=None) -> "VerificationReport":
+@verifier("nz-bernoulli")
+def verify_nz_identity(order: int, bernoulli_fn=None):
     """sum_{k>=2} 2^{2k} B_{2k}/(2k)! z^{-2k-1} = z^{-2} coth(1/z) - 1/z - z^{-3}/3."""
-    t0 = start_clock()
     bfn = bernoulli_fn if bernoulli_fn is not None else bernoulli
     lhs = GradedSeries(
         DESCENDING,
@@ -468,6 +435,4 @@ def verify_nz_identity(order: int = 41, bernoulli_fn=None) -> "VerificationRepor
     # t^2 coth t keeps the window of t, and z^-order must be known
     t = GradedSeries.identity(ASCENDING, prec=order + 1)
     rhs = (t * t * coth(t) - t - t ** 3 / 3).invert_variable()
-    return compare_series(
-        "nz-bernoulli", order, lhs, rhs, range(-1, -order - 1, -1), t0
-    )
+    yield lhs, rhs, range(-1, -order - 1, -1)

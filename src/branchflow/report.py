@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import wraps
 from typing import Optional
 
 from .exact import rational_str
@@ -34,20 +35,7 @@ class VerificationReport:
             raise ValueError("first_mismatch must be present exactly when status is FAIL")
 
     def to_dict(self) -> dict:
-        mm = None
-        if self.first_mismatch is not None:
-            mm = {
-                "exponent": self.first_mismatch.exponent,
-                "lhs": self.first_mismatch.lhs,
-                "rhs": self.first_mismatch.rhs,
-            }
-        return {
-            "identity": self.identity,
-            "order": self.order,
-            "status": self.status,
-            "first_mismatch": mm,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -88,3 +76,23 @@ def compare_series(identity, order, lhs, rhs, exponents, t0) -> VerificationRepo
         if lv != rv:
             return failed(identity, order, t0, e, rational_str(lv), rational_str(rv))
     return passed(identity, order, t0)
+
+
+def verifier(identity: str):
+    """A verifier from a generator of ``(lhs, rhs, exponents)`` checks whose first
+    parameter is ``order``: the clock starts at the call, and the first FAIL of
+    :func:`compare_series` is the report, so later checks are never built."""
+
+    def decorate(checks):
+        @wraps(checks)
+        def run(order, *args, **kwargs) -> VerificationReport:
+            t0 = start_clock()
+            for lhs, rhs, exponents in checks(order, *args, **kwargs):
+                rep = compare_series(identity, order, lhs, rhs, exponents, t0)
+                if rep.status != PASS:
+                    return rep
+            return passed(identity, order, t0)
+
+        return run
+
+    return decorate

@@ -31,6 +31,7 @@ from branchflow.flows import (
     verify_nz_identity,
     verify_prop_hy,
 )
+from branchflow.report import Mismatch, verifier
 from branchflow.series import (
     ASCENDING,
     DESCENDING,
@@ -512,3 +513,26 @@ def test_fault_nz_bernoulli():
     assert rep.status == "FAIL"
     assert rep.first_mismatch.exponent == -5
     assert rep.first_mismatch.lhs == "-2/93"
+
+
+def test_verifier_stops_at_the_first_failing_check():
+    z = GradedSeries.identity(ASCENDING, prec=4)
+
+    @verifier("toy")
+    def toy(order, bump=ZERO):
+        yield z, z, range(0, order)
+        yield z + bump, z, range(0, order)
+        raise AssertionError("resumed after a failing check")
+
+    rep = toy(3, bump=ONE)
+    assert rep.status == "FAIL"
+    assert (rep.identity, rep.order) == ("toy", 3)
+    assert rep.first_mismatch == Mismatch(exponent=0, lhs="1", rhs="0")
+
+    @verifier("toy")
+    def passing(order):
+        yield z, z, range(0, order)
+        yield z * z, z * z, range(0, order)
+
+    rep = passing(3)
+    assert (rep.identity, rep.order, rep.status, rep.first_mismatch) == ("toy", 3, "PASS", None)

@@ -527,13 +527,15 @@ def test_scans_apply_each_image_once_per_polynomial(monkeypatch):
     def expect(op, row):
         expected.update((op.name, key) for key in row.terms)
 
-    # L_k p for every k in the cells and their sums, then L_m (L_n p) per ordered pair
+    # L_k p for every k in the cells and their sums, then L_m (L_n p) per ordered
+    # pair off the diagonal, whose bracket is empty
     assert all(r.status == PASS for r in scan_virasoro_commutators(PAIRS, corpus))
     for p in corpus:
         for k in range(-6, 7):
             expect(make_L(k), p)
         for m, n in PAIRS:
-            expect(make_L(m), make_L(n)(p))
+            if m != n:
+                expect(make_L(m), make_L(n)(p))
     assert calls == expected
 
     # alpha_j p and L_k p once each, then alpha_n (L_k p) and L_k (alpha_n p) per live cell

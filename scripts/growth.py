@@ -5,19 +5,24 @@
     python3 scripts/growth.py coth --orders 40 80 --runs 1 --src ../other/src
     python3 scripts/growth.py vir_scan --orders 6 9 12 15
     python3 scripts/growth.py vir_grid --orders 12 13 14 15
+    python3 scripts/growth.py recurrence --orders 100 200 403
 
 Each (order, run) is a fresh interpreter that builds the operation's input
 and times only the operation itself with ``time.perf_counter``.  The last
 stdout line is one JSON object: the median time per order, the exponent of
 the least-squares line through (log order, log time), and the largest peak
-RSS per order (``ru_maxrss`` of the interpreters, KiB), so that a trade of
-memory for time shows next to its fit, and the line count of the
-``branchflow`` package it timed (``src_lines``).  For the operator ops the order is the
-weight bound of the q-polynomial corpus: ``vir_scan`` times one commutator
-cell, ``vir_grid`` the CLI's whole -5..5 scan (its corpus adds a seeded sample
-up to weight 12, so fit it from 12 up), and ``factorization`` the
-factorization check.  ``--src`` points at the ``src`` directory of another
-checkout, so one harness times both sides of a change.  Stdlib only.
+RSS per order (``VmHWM`` in ``/proc/self/status`` of the interpreters, KiB,
+so each reads its own peak: ``ru_maxrss`` of a child keeps the RSS of the
+process that spawned it as a floor), so that a trade of memory for time shows
+next to its fit, and the line count of the ``branchflow`` package it timed
+(``src_lines``).  ``recurrence`` grows the branch table ``b`` from empty to
+b_n, as ``coeffs stirling --order k`` does for n = 2k + 3.  For the operator
+ops the order is the weight bound of the q-polynomial corpus: ``vir_scan``
+times one commutator cell, ``vir_grid`` the CLI's whole -5..5 scan (its corpus
+adds a seeded sample up to weight 12, so fit it from 12 up), and
+``factorization`` the factorization check.  ``--src`` points at the ``src``
+directory of another checkout, so one harness times both sides of a change.
+Stdlib only; Linux, for ``/proc``.
 """
 
 from __future__ import annotations
@@ -101,16 +106,23 @@ OPS = {
         "from branchflow import verify_factorization",
         "verify_factorization(n)",
     ),
+    "recurrence": (
+        "coeffs_b(n) from the empty table: b_1 .. b_n",
+        "from branchflow import coeffs_b",
+        "coeffs_b(n)",
+    ),
 }
 
 CHILD = """\
-import resource, sys, time
+import sys, time
 sys.path.insert(0, {src!r})
 n = {n}
 {setup}
 t0 = time.perf_counter()
 {stmt}
-print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+t = time.perf_counter() - t0
+with open("/proc/self/status") as status:
+    print(t, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 

@@ -9,19 +9,20 @@ recurrences never certify themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add, mul
 
 from .exact import ONE, Rational, Row, double_factorial, factorial
-from .report import verifier
+from .report import Record, verifier
 from .series import ASCENDING, GradedSeries, cosh, coth, csch
 
 
-@dataclass(frozen=True)
-class BranchCoeffs:
+class BranchCoeffs(Record):
     """1-indexed coefficient family ``b`` or ``c``."""
 
-    family: str
-    values: tuple
+    __slots__ = ("family", "values")
+
+    def __init__(self, family: str, values: tuple):
+        self._init(family, values)
 
     def __getitem__(self, index: int):
         if index < 1 or index > len(self.values):
@@ -33,41 +34,65 @@ class BranchCoeffs:
 
 
 class _Recurrence:
-    """t_1, t_2, ... of ``(n+1) t_n = rest(n) - sum_{k=2}^{n-1} k t_k t_{n+1-k}``.
+    """t_1 = 1, t_2, ... of ``(n+1) t_n = rest(n) - sum_{k=2}^{n-1} k t_k t_{n+1-k}``,
+    where ``rest(n) = step(rest(n-1), t_{n-1})`` for a linear ``step``, from
+    ``rest(1) = rest1``.
 
-    Besides the Rationals ``values``, the table keeps them as a :class:`Row`
-    keyed 0, 1, ..., integer numerators over one common denominator, so each
-    step sums its convolution in Python ints (the terms ``k`` and ``n+1-k``
-    pair to ``(n+1) N_k N_{n+1-k}``) and reduces one Rational.  ``rest(nums,
-    den)`` is the numerator of ``rest(n)`` over ``den^2``.
+    The table is kept factorial-scaled: ``row`` holds beta_n = s^n n! t_n under
+    the keys 0, 1, ..., int numerators over one common denominator, on which the
+    recurrence reads
+
+        (n+1) s beta_n = r_n - sum_{k=2}^{n-1} C(n, k-1) beta_k beta_{n+1-k},
+
+    with r_n = s^{n+1} n! rest(n) = s n step(r_{n-1}, s beta_{n-1}), an int
+    numerator over the same denominator.  The terms k and n+1-k pair to
+    C(n+1, k) beta_k beta_{n+1-k}, read off one Pascal row that each step
+    advances, and each step builds one Rational.
+
+    Why the scaling: dividing by n+1 at every step leaves the primes up to n+1
+    in the denominators of the t_n, so over one common denominator every
+    numerator is as long as the last one (3,621 bits up to b_403).  n! takes
+    most of those primes back out.  What then still grows with n in the
+    denominators of n! t_n is powers of 2 and 3 for b, and of 3 alone for c, so
+    s = 6 for b and s = 3 for c.  The common denominator of beta_1 .. beta_403
+    has 696 bits, and the numerator of beta_k grows with k like s^k k! |t_k|, so
+    most products of the convolution pair a short numerator with a long one.
+    The Rationals t_n = beta_n / (s^n n!) are built as the table is read.
     """
 
-    def __init__(self, t2, rest):
-        self.values = [ONE, t2]
-        self.row = Row(dict(enumerate(self.values)))
-        self.rest = rest
+    def __init__(self, scale: int, step, rest1):
+        self.scale, self.step, self.rest1 = scale, step, rest1
+        self.row = Row({0: Rational(scale)})  # beta_1 = s
+        self.rest = scale * scale * rest1  # r_1, over the row's denominator
+        self.pascal = [1, 2, 1]  # row n of Pascal's triangle before step n
+        self.values = []
 
     def __call__(self, order: int) -> tuple:
-        vals, row = self.values, self.row
-        while len(vals) < order:
-            n = len(vals) + 1
-            nums, d = row._num, row._den
-            conv = (n + 1) * sum(nums[k - 1] * nums[n - k] for k in range(2, n // 2 + 1))
+        s, row, pascal = self.scale, self.row, self.pascal
+        nums = row._num
+        while len(nums) < order:
+            n = len(nums) + 1
+            pascal = [1, *map(add, pascal, pascal[1:]), 1]  # C(n+1, k)
+            betas, d = list(nums.values()), row._den
+            rest = self.rest = s * n * self.step(self.rest, s * betas[-1])
+            h = n // 2
+            pairs = map(mul, pascal[2 : h + 1], betas[1:h])  # k = 2 .. n // 2
+            conv = sum(map(mul, pairs, betas[n - 2 : n - h - 1 : -1]))
             if n % 2:
-                m = (n + 1) // 2
-                conv += m * nums[m - 1] ** 2
-            value = Rational(self.rest(nums, d) - conv, d * d * (n + 1))
-            row._put(n - 1, value)
-            vals.append(value)
+                conv += (pascal[h + 1] >> 1) * betas[h] ** 2
+            row._put(n - 1, Rational(rest * d - conv, d * d * (n + 1) * s))
+            self.rest *= row._den // d
+        self.pascal = pascal
+        vals = self.values
+        for n in range(len(vals) + 1, order + 1):
+            vals.append(Rational(nums[n - 1], row._den * s**n * factorial(n)))
         return tuple(vals[:order])
 
 
-# b_1 = 1, b_2 = 1/3; rest(n) = b_{n-1}
-_b_table = _Recurrence(Rational(1, 3), lambda nums, d: nums[len(nums) - 1] * d)
-# c_1 = 1, c_2 = 2/3; rest(n) = 2 + sum_{j=2}^{n-1} c_j
-_c_table = _Recurrence(
-    Rational(2, 3), lambda nums, d: 2 * d * d + (sum(nums.values()) - nums[0]) * d
-)
+# b_1 = 1; rest(n) = b_{n-1}
+_b_table = _Recurrence(6, lambda rest, t: t, 0)
+# c_1 = 1; rest(n) = 1 + sum_{j=1}^{n-1} c_j
+_c_table = _Recurrence(3, add, 1)
 
 
 def coeffs_b(order: int) -> BranchCoeffs:

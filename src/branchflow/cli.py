@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 from itertools import product
 
 from .branches import (
@@ -46,6 +45,7 @@ from .flows import (
     verify_nz_identity,
     verify_prop_hy,
 )
+from .report import VerificationReport
 from .series import ASCENDING, SeriesError
 from .virasoro import (
     FixtureError,
@@ -125,7 +125,10 @@ def render_coeffs(family: str, order: int, rows, fmt: str) -> str:
 def _cell(report, cell: dict):
     """A report labelled by its cell of a scan, as in ``grading(m=2)``."""
     label = ",".join(f"{k}={v}" for k, v in cell.items())
-    return replace(report, identity=f"{report.identity}({label})")
+    identity = f"{report.identity}({label})"
+    return VerificationReport(
+        identity, report.order, report.status, report.first_mismatch, report.elapsed_ms
+    )
 
 
 def _grid(args, *keys) -> list:

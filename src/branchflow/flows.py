@@ -11,11 +11,10 @@ with each generator coefficient solved from a target z + lower order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 
 from .branches import coeffs_b, coeffs_c, series_K
 from .exact import ONE, Rational, Row, ZERO, bernoulli, factorial, rational
-from .report import verifier
+from .report import Record, verifier
 from .series import (
     ASCENDING,
     DESCENDING,
@@ -42,17 +41,15 @@ def _law_fn(law):
     raise SeriesError(f"unknown exponent law {law!r}")
 
 
-@dataclass(frozen=True)
-class FlowCoeffs:
+class FlowCoeffs(Record):
     """Generator coefficients g_1, g_2, ... for D = sign * sum g_k z^{p(k)} d/dz."""
 
-    values: tuple
-    law: object = LAW_STANDARD
-    sign: int = 1
+    __slots__ = ("values", "law", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, values: tuple, law=LAW_STANDARD, sign: int = 1):
+        if sign not in (1, -1):
             raise SeriesError("flow sign must be +1 or -1")
+        self._init(values, law, sign)
 
     def __getitem__(self, index: int):
         if index < 1 or index > len(self.values):
@@ -66,7 +63,7 @@ class FlowCoeffs:
         return _law_fn(self.law)(k)
 
     def with_sign(self, sign: int) -> "FlowCoeffs":
-        return replace(self, sign=sign)
+        return FlowCoeffs(self.values, self.law, sign)
 
     def generator(self) -> GradedSeries:
         """sign * sum g_k z^{p(k)} as a series whose prec marks the untracked tail."""

@@ -1,12 +1,11 @@
-"""Pass/fail reports emitted by every verifier."""
+"""Pass/fail reports emitted by every verifier, and the immutable record class
+that the report, coefficient and operator classes share."""
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
 from functools import wraps
-from typing import Optional
 
 from .exact import rational_str
 
@@ -15,27 +14,66 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    exponent: int
-    lhs: str
-    rhs: str
+class Record:
+    """An immutable record whose ``__slots__`` name its fields, in order.
+
+    A subclass's ``__init__`` sets every field once through ``_init``; after
+    that, assignment raises ``AttributeError``.  Equality and hash go by type
+    and field values.  These plain slotted classes stand in for frozen
+    dataclasses: importing ``dataclasses`` loads ``inspect``, ``ast`` and
+    ``dis``, which every cold run of the CLI would pay for at start-up."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    order: int
-    status: str
-    first_mismatch: Optional[Mismatch]
-    elapsed_ms: int
+class Mismatch(Record):
+    __slots__ = ("exponent", "lhs", "rhs")
 
-    def __post_init__(self):
-        if (self.status == FAIL) != (self.first_mismatch is not None):
+    def __init__(self, exponent: int, lhs: str, rhs: str):
+        self._init(exponent, lhs, rhs)
+
+
+class VerificationReport(Record):
+    __slots__ = ("identity", "order", "status", "first_mismatch", "elapsed_ms")
+
+    def __init__(self, identity: str, order: int, status: str, first_mismatch, elapsed_ms: int):
+        if (status == FAIL) != (first_mismatch is not None):
             raise ValueError("first_mismatch must be present exactly when status is FAIL")
+        self._init(identity, order, status, first_mismatch, elapsed_ms)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        out = dict(zip(self.__slots__, self._fields()))
+        if self.first_mismatch is not None:
+            out["first_mismatch"] = dict(zip(Mismatch.__slots__, self.first_mismatch._fields()))
+        return out
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -25,13 +25,11 @@ import json
 import random
 import re
 from reprlib import repr as _short
-from dataclasses import dataclass, replace
 from functools import cache
-from importlib import resources
 from math import lcm
 
 from .exact import ONE, Rational, Row, ZERO, check_int, rational
-from .report import VerificationReport, failed, passed, skipped, start_clock
+from .report import Record, VerificationReport, failed, passed, skipped, start_clock
 
 FIXTURE_RESOURCE = "fk_fixture.json"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # p or p/q, q > 0
@@ -126,14 +124,14 @@ class QPoly(Row):
         return "QPoly(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class LinearOp:
+class LinearOp(Record):
     """Exact linear operator: ``image(key)`` lists the (monomial, integer weight)
     terms of its image of the monomial ``key``, weights over ``den``."""
 
-    name: str
-    image: object
-    den: int = 1
+    __slots__ = ("name", "image", "den")
+
+    def __init__(self, name: str, image, den: int = 1):
+        self._init(name, image, den)
 
     def __call__(self, p: QPoly) -> QPoly:
         return QPoly._canon(_add({}, 1, self, p), p._den * self.den)
@@ -291,9 +289,10 @@ def scan_virasoro_commutators(cells, corpus) -> list:
 
     Swapping m and n negates both sides (checked here for the central term), so
     (n, m) takes the verdict of (m, n) on each polynomial: L_m L_n p and L_n L_m p
-    are applied once for the two cells.  The bracket of (m, m) is empty."""
+    are applied once for the two cells.  [L_m, L_m] = 0 holds for any operator, so
+    the cell (m, m) has no terms and passes without building anything."""
     t0 = start_clock()
-    L = {k: make_L(k) for k in sorted({k for m, n in cells for k in (m, n, m + n)})}
+    L = {k: make_L(k) for k in sorted({k for m, n in cells if m != n for k in (m, n, m + n)})}
     central = {(m, n): Rational(m ** 3 - m, 12) if m + n == 0 else ZERO for m, n in cells}
     mirror = {(m, n): (n, m) for m, n in cells if central.get((n, m)) == -central[(m, n)]}
 
@@ -302,7 +301,9 @@ def scan_virasoro_commutators(cells, corpus) -> list:
 
         def on_p(cell):
             m, n = cell
-            bracket = [(1, L[m], Lp(n)), (-1, L[n], Lp(m))] if m != n else []
+            if m == n:
+                return ()
+            bracket = [(1, L[m], Lp(n)), (-1, L[n], Lp(m))]
             return ((bracket, [(m - n, None, Lp(m + n)), (central[cell], None, p)]),)
 
         return on_p
@@ -340,7 +341,9 @@ def scan_grading(cells, corpus) -> list:
 
     def stray(m):  # L_m, keeping only the image terms off weight w - m
         L = make_L(m)
-        return replace(L, image=lambda key: [t for t in L.image(key) if sum(t[0]) != sum(key) - m])
+        return LinearOp(
+            L.name, lambda key: [t for t in L.image(key) if sum(t[0]) != sum(key) - m], L.den
+        )
 
     strays = {m: stray(m) for m in sorted({cell[0] for cell in cells})}
 
@@ -464,6 +467,8 @@ def load_fk_fixture(path=None):
     """
     try:
         if path is None:
+            from importlib import resources
+
             blob = resources.files("branchflow.data").joinpath(FIXTURE_RESOURCE).read_text()
         else:
             with open(path, "r", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 """Branch expansions of w e^w at the critical point: recurrences, oracles, verifiers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -180,11 +181,14 @@ def test_integer_tables_match_fraction_recurrence(monkeypatch, table, coeffs, re
     # a fresh table grown in two steps, so the second resumes over the
     # common denominator the first one left
     old = getattr(branches, table)
-    fresh = branches._Recurrence(old.values[1], old.rest)
+    fresh = branches._Recurrence(old.scale, old.step, old.rest1)
     monkeypatch.setattr(branches, table, fresh)
     expected = reference(150)
     assert coeffs(7).values == expected[:7]
     den = fresh.row._den
     assert coeffs(150).values == expected
     assert fresh.row._den != den and fresh.row._den % den == 0
-    assert list(fresh.row.terms.values()) == list(expected)
+    # the row holds s^n n! t_n
+    s = fresh.scale
+    scaled = [s**n * math.factorial(n) * t for n, t in enumerate(expected, start=1)]
+    assert list(fresh.row.terms.values()) == scaled

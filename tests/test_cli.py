@@ -1,5 +1,6 @@
 """Command-line driver: output shapes, exit codes, env handling, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -255,6 +256,25 @@ def test_coeffs_determinism(capsys):
     rc2, out2, _ = run(["coeffs", "e", "--order", "6"], capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# SHA-256 of the stdout of the deep recurrence dumps, pinned when the branch
+# tables still stored the Rationals themselves
+DEEP_DUMP_SHA256 = {
+    ("stirling", "json"): "47fdbda2daaa5494306b32697ae8fcdc27a582e0e54acf87bb8cdadd7f7fdd73",
+    ("stirling", "csv"): "1d306ffd9b1f1131b61b4f62573f6b337f7d54bbdea0eaacf1b9a1778b962e57",
+    ("b", "json"): "e8138e8617143bcec64aab4a0e29d1fa61ecf666642139858ab85467a6411234",
+    ("b", "csv"): "216200f50dca2739ef5a6e552b53b836041b42ee3f359400b0f85fbde8b0e92d",
+    ("c", "json"): "a8205f27e4072fb75ed8f7393f102a3eafebae4f47381689cfae1463320d095e",
+    ("c", "csv"): "4e99f048355f5046bff0309da19383763b1cd1b90c4868c6e24f0dcc47e16e3e",
+}
+
+
+@pytest.mark.parametrize("family, fmt", sorted(DEEP_DUMP_SHA256))
+def test_deep_recurrence_dumps_are_bit_identical(family, fmt, capsys):
+    rc, out, _ = run(["coeffs", family, "--order", "200", "--format", fmt], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_DUMP_SHA256[family, fmt]
 
 
 # --- fixture plumbing -----------------------------------------------------------

@@ -30,7 +30,7 @@ def test_fit_recovers_a_power_law():
     "op",
     [
         "mul", "reciprocal", "exp", "log", "coth", "revert", "compose", "flow_solve",
-        "flow_apply", "vir_scan", "vir_grid", "factorization",
+        "flow_apply", "vir_scan", "vir_grid", "factorization", "recurrence",
     ],
 )
 def test_times_each_order_in_a_fresh_interpreter(op):
@@ -63,3 +63,12 @@ def test_children_compile_the_timed_src(tmp_path, monkeypatch):
     compiled = {path.name.split(".")[0] for path in (copy / "__pycache__").glob("*.pyc")}
     imported = {path.stem for path in package.glob("*.py")} - {"__main__", "cli"}
     assert imported <= compiled
+
+
+def test_children_report_their_own_peak_rss():
+    # 64 MiB held here: a child's ru_maxrss would read at least that much,
+    # its own VmHWM reads what the child itself touched
+    ballast = b"\x01" * (64 << 20)
+    seconds, kib = load_growth().time_once(str(SCRIPT.parent.parent / "src"), "recurrence", 8)
+    assert seconds > 0 and 1024 < kib < 48 * 1024
+    del ballast

@@ -1,7 +1,11 @@
 """Every module of the package uses every name it imports (``__init__`` re-exports
-exactly what it imports) and every module-level private name it defines."""
+exactly what it imports) and every module-level private name it defines, and
+the CLI imports no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,17 @@ def test_package_exports_exactly_what_it_imports():
     }
     assert len(set(branchflow.__all__)) == len(branchflow.__all__)
     assert set(branchflow.__all__) == imported
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every cold CLI run pays for its imports; dataclasses alone pulls in inspect,
+    # ast, dis and tokenize.  -S keeps site's own imports out of the count.
+    code = (
+        "import sys\nimport branchflow.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split("\n")[0] == "[]"

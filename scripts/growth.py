@@ -5,6 +5,7 @@
     python3 scripts/growth.py coth --orders 40 80 --runs 1 --src ../other/src
     python3 scripts/growth.py vir_scan --orders 6 9 12 15
     python3 scripts/growth.py vir_grid --orders 12 13 14 15
+    python3 scripts/growth.py heis_grid --orders 12 13 14 15
     python3 scripts/growth.py recurrence --orders 100 200 403
 
 Each (order, run) is a fresh interpreter that builds the operation's input
@@ -18,11 +19,11 @@ next to its fit, and the line count of the ``branchflow`` package it timed
 (``src_lines``).  ``recurrence`` grows the branch table ``b`` from empty to
 b_n, as ``coeffs stirling --order k`` does for n = 2k + 3.  For the operator
 ops the order is the weight bound of the q-polynomial corpus: ``vir_scan``
-times one commutator cell, ``vir_grid`` the CLI's whole -5..5 scan (its corpus
-adds a seeded sample up to weight 12, so fit it from 12 up), and
-``factorization`` the factorization check.  ``--src`` points at the ``src``
-directory of another checkout, so one harness times both sides of a change.
-Stdlib only; Linux, for ``/proc``.
+times one commutator cell, ``vir_grid`` and ``heis_grid`` the CLI's whole
+-5..5 Virasoro and Heisenberg scans (their corpus adds a seeded sample up to
+weight 12, so fit them from 12 up), and ``factorization`` the factorization
+check.  ``--src`` points at the ``src`` directory of another checkout, so one
+harness times both sides of a change.  Stdlib only; Linux, for ``/proc``.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ OPS = {
         "from argparse import Namespace\nfrom branchflow.cli import IDENTITIES\n"
         "x = Namespace(weight=n, seed=0, range=(-5, 5))",
         'IDENTITIES["virasoro-commutators"](x)',
+    ),
+    "heis_grid": (
+        "verify heisenberg-commutators --weight n --range=-5..5: all 110 cells, one corpus",
+        "from argparse import Namespace\nfrom branchflow.cli import IDENTITIES\n"
+        "x = Namespace(weight=n, seed=0, range=(-5, 5))",
+        'IDENTITIES["heisenberg-commutators"](x)',
     ),
     "factorization": (
         "verify_factorization(n), l and b built inside",

@@ -12,6 +12,12 @@ by op_sum the lcm of the c_i op_i denominators.  Weight (the sum of q-indices
 of a monomial) is the grading: L_m lowers it by m, and the exponential of an
 operator that lowers it terminates on every polynomial.
 
+The image of L_m is built in one pass over the runs of equal indices of the
+sorted monomial.  A moved or added index is put in place with ``bisect``, and
+each output monomial is listed once: pairs a + b = m and i + j = -m are taken
+unordered, with their multiplicities in the weight.  An exponential sums its
+Taylor terms as int numerators and canonicalises once, at the end.
+
 A checked identity lists each side once, as (coefficient, operator or None,
 row) terms.  Its residual, sum lhs - sum rhs, goes into one dict of int
 numerators over one denominator and is tested for zero; the two sides are built
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from bisect import bisect
 from reprlib import repr as _short
 from functools import cache
 from math import lcm
@@ -134,14 +141,18 @@ class LinearOp(Record):
         self._init(name, image, den)
 
     def __call__(self, p: QPoly) -> QPoly:
-        return QPoly._canon(_add({}, 1, self, p), p._den * self.den)
+        return QPoly._canon(_add({}, 1, self, p._num), p._den * self.den)
 
 
-def _add(out: dict, f: int, op, row) -> dict:
-    """``out`` plus f op(row), all int numerators; op None is the identity."""
+def _add(out: dict, f: int, op, nums: dict) -> dict:
+    """``out`` plus f op(nums) on a dict of int numerators; op None is the identity."""
     get = out.get
-    image = op.image if op else lambda key: ((key, 1),)
-    for key, num in row._num.items():
+    if op is None:
+        for key, num in nums.items():
+            out[key] = get(key, 0) + f * num
+        return out
+    image = op.image
+    for key, num in nums.items():
         fn = f * num
         for ikey, weight in image(key):
             out[ikey] = get(ikey, 0) + weight * fn
@@ -156,24 +167,49 @@ def _accumulate(lhs, rhs=()):
     den, out, next_den = lcm(*dens), {}, iter(dens).__next__
     for sign, side in sides:
         for c, op, row in side:
-            _add(out, sign * c.numerator * (den // next_den()), op, row)
+            _add(out, sign * c.numerator * (den // next_den()), op, row._num)
     return out, den
 
 
 def make_L(m: int) -> LinearOp:
-    """The Virasoro operator L_m over the denominator 2, read off its three sums."""
+    """The Virasoro operator L_m over the denominator 2, read off its three sums.
+
+    No output monomial is listed twice: the first-order terms of distinct runs
+    differ, and the two other sums change the degree."""
     check_int(m, "the index of L")
-    products = [(i, -m - i) for i in range(1, -m)]
+    if m == 0:  # every q_k d/dq_k returns the monomial: L_0 is its weight
+        return LinearOp("L[0]", lambda key: [(key, 2 * sum(key))] if key else [], 2)
+    # q_i q_j over unordered i + j = -m: 1/2 per ordered pair
+    products = [(i, -m - i, 1 if 2 * i == -m else 2) for i in range(1, -m // 2 + 1)]
 
     def image(key):
-        out = []
-        for j in dict.fromkeys(key):
-            for reduced, mult in _d(key, j):
-                if j > m:  # 2 (k + m) q_k d/dq_{k+m}, with j = k + m
-                    out.append((_key(reduced + (j - m,)), 2 * j * mult))
-                elif j < m:  # ab d_a d_b over ordered a + b = m, with a = j
-                    out.extend((kb, j * (m - j) * mult * mb) for kb, mb in _d(reduced, m - j))
-        out.extend((_key(key + ij), 1) for ij in products)  # q_i q_j
+        out, starts, s, size = [], {}, 0, len(key)
+        while s < size:
+            j = key[s]
+            e = bisect(key, j, s)
+            mult = e - s
+            if j > m:  # 2 (k + m) q_k d/dq_{k+m} with j = k + m: one of mult j's moves
+                k = j - m
+                if k < j:
+                    at = bisect(key, k, 0, s)
+                    out.append((key[:at] + (k,) + key[at:s] + key[s + 1:], 2 * j * mult))
+                else:
+                    at = bisect(key, k, e)
+                    out.append((key[:s] + key[s + 1:at] + (k,) + key[at:], 2 * j * mult))
+            elif 2 * j < m:  # a = j of ab d_a d_b: its pair b = m - j comes later
+                starts[j] = s, mult
+            elif 2 * j == m:  # a = b: mult (mult - 1) ordered picks
+                if mult > 1:
+                    out.append((key[:s] + key[s + 2:], j * j * mult * (mult - 1)))
+            elif m - j in starts:  # a < b = j: both orders of the pair
+                a = m - j
+                sa, ma = starts[a]
+                out.append((key[:sa] + key[sa + 1:s] + key[s + 1:], 2 * a * j * ma * mult))
+            s = e
+        for i, j, w in products:  # i <= j, inserted where they sort
+            b = bisect(key, j)
+            a = bisect(key, i, 0, b)
+            out.append((key[:a] + (i,) + key[a:b] + (j,) + key[b:], w))
         return out
 
     return LinearOp(f"L[{m}]", image, 2)
@@ -387,13 +423,21 @@ def op_sum(pairs) -> LinearOp:
 
 def exp_op_apply(op: LinearOp, p: QPoly) -> QPoly:
     """exp(op) p, summed once: a weight-lowering op leaves nothing after
-    ``p.max_weight() + 1`` applications, and anything left then is refused."""
-    terms, term = [(1, p)], p
-    for n in range(1, p.max_weight() + 2):
-        term = LinearOp(op.name, op.image, op.den * n)(term)  # the 1/n rides on den
-        if term.is_zero():
-            return QPoly._combine(terms)
-        terms.append((1, term))
+    ``p.max_weight() + 1`` applications, and anything left then is refused.
+
+    The term op^n p / n! is int numerators over p._den op.den^n n!, never
+    canonicalised: the terms are summed once, each scaled to the last one's
+    denominator, into one dict that is canonicalised once."""
+    terms = [p._num]
+    for _ in range(p.max_weight() + 1):
+        term = {key: num for key, num in _add({}, 1, op, terms[-1]).items() if num}
+        if not term:
+            total, f = dict(terms[-1]), 1
+            for n in range(len(terms) - 1, 0, -1):  # the 1/n rides on the denominator
+                f *= op.den * n
+                _add(total, f, None, terms[n - 1])
+            return QPoly._canon(total, p._den * f)
+        terms.append(term)
     raise ValueError(f"{op.name} does not lower weight; exponential diverges")
 
 

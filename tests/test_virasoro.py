@@ -270,6 +270,27 @@ def test_operators_match_defining_sums_and_stay_canonical(p, q, c):
     assert all(is_canonical(r) for r in results)
 
 
+def test_L_images_list_each_monomial_once_and_match_the_defining_sums():
+    # every monomial up to weight 14 and every m in -12..12: an image lists
+    # distinct sorted monomials with non-zero int weights, summing to ref_L
+    keys = [key for p in corpus_monomials(14) for key in p.terms]
+    for m in range(-12, 13):
+        L = make_L(m)
+        for key in keys:
+            image = L.image(key)
+            listed = [ikey for ikey, _ in image]
+            assert len(set(listed)) == len(listed), (m, key)
+            for ikey, weight in image:
+                assert type(ikey) is tuple and list(ikey) == sorted(ikey), (m, key, ikey)
+                assert type(weight) is int and weight != 0, (m, key, ikey)
+            expected = {}
+            for idx, w in ref_L(m, list(key)):
+                expected[tuple(sorted(idx))] = expected.get(tuple(sorted(idx)), 0) + w
+            assert {ikey: R(w, L.den) for ikey, w in image} == {
+                ikey: c for ikey, c in expected.items() if c
+            }, (m, key)
+
+
 @given(st.lists(qpolys, min_size=2, max_size=5), small_rationals)
 @settings(max_examples=40)
 def test_one_exponential_serves_many_polynomials(ps, c):
@@ -658,6 +679,24 @@ def test_exp_single_shift():
     b3 = R(1, 36)
     out = exp_op_apply(op_sum([(-b3, make_d(5))]), QPoly.monomial((5,)))
     assert out == QPoly.monomial((5,)) - ONE.scale(b3)
+
+
+def test_exp_with_coefficients_prime_to_the_operator_denominators():
+    # the Taylor terms are summed over a running denominator and made canonical
+    # only at the end: 1/7 and 3/5 share no factor with the 2 of L_2 or the 1 of d_3
+    total = op_sum([(R(1, 7), make_L(2)), (R(3, 5), make_d(3))])
+
+    def ref(idx):
+        return [(r, R(1, 7) * w) for r, w in ref_L(2, idx)] + [
+            (r, R(3, 5) * w) for r, w in ref_d(idx, 3)
+        ]
+
+    for p in default_corpus(8, 0):
+        out = exp_op_apply(total, p)
+        assert out == ref_exp(ref, p.terms)
+        nums = list(out._num.values())
+        assert out._den > 0 and all(type(v) is int and v for v in nums)
+        assert math.gcd(out._den, *nums) == 1
 
 
 def test_exp_group_law_on_commuting_shifts():

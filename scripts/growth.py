@@ -7,6 +7,7 @@
     python3 scripts/growth.py vir_grid --orders 12 13 14 15
     python3 scripts/growth.py heis_grid --orders 12 13 14 15
     python3 scripts/growth.py recurrence --orders 100 200 403
+    python3 scripts/growth.py stirling --orders 50 100 200
 
 Each (order, run) is a fresh interpreter that builds the operation's input
 and times only the operation itself with ``time.perf_counter``.  The last
@@ -17,13 +18,15 @@ so each reads its own peak: ``ru_maxrss`` of a child keeps the RSS of the
 process that spawned it as a floor), so that a trade of memory for time shows
 next to its fit, and the line count of the ``branchflow`` package it timed
 (``src_lines``).  ``recurrence`` grows the branch table ``b`` from empty to
-b_n, as ``coeffs stirling --order k`` does for n = 2k + 3.  For the operator
-ops the order is the weight bound of the q-polynomial corpus: ``vir_scan``
-times one commutator cell, ``vir_grid`` and ``heis_grid`` the CLI's whole
--5..5 Virasoro and Heisenberg scans (their corpus adds a seeded sample up to
-weight 12, so fit them from 12 up), and ``factorization`` the factorization
-check.  ``--src`` points at the ``src`` directory of another checkout, so one
-harness times both sides of a change.  Stdlib only; Linux, for ``/proc``.
+b_n, as ``coeffs b --order n`` does; ``stirling`` and ``bernoulli`` build the
+rows of ``coeffs stirling --order n`` and ``coeffs bernoulli --order n`` from
+empty tables.  For the operator ops the order is the weight bound of the
+q-polynomial corpus: ``vir_scan`` times one commutator cell, ``vir_grid`` and
+``heis_grid`` the CLI's whole -5..5 Virasoro and Heisenberg scans (their
+corpus adds a seeded sample up to weight 12, so fit them from 12 up), and
+``factorization`` the factorization check.  ``--src`` points at the ``src``
+directory of another checkout, so one harness times both sides of a change.
+Stdlib only; Linux, for ``/proc``.
 """
 
 from __future__ import annotations
@@ -117,6 +120,16 @@ OPS = {
         "coeffs_b(n) from the empty table: b_1 .. b_n",
         "from branchflow import coeffs_b",
         "coeffs_b(n)",
+    ),
+    "stirling": (
+        "stirling_coeffs(n + 1) from empty tables: gamma_0 .. gamma_n",
+        "from branchflow import stirling_coeffs",
+        "stirling_coeffs(n + 1)",
+    ),
+    "bernoulli": (
+        "bernoulli(k) for k = 0 .. n from the empty table",
+        "from branchflow import bernoulli",
+        "[bernoulli(k) for k in range(n + 1)]",
     ),
 }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .exact import ONE, Rational, Row, double_factorial, factorial
+from .exact import ONE, Rational, Row, bernoulli, factorial
 from .report import Record, verifier
 from .series import ASCENDING, GradedSeries, cosh, coth, csch
 
@@ -149,9 +149,19 @@ def w0_by_reversion(order: int) -> GradedSeries:
 
 
 def stirling_coeffs(count: int) -> list:
-    """Asymptotic-expansion coefficients (2i+1)!! * b_{2i+1}, i = 0..count-1."""
-    bs = coeffs_b(2 * count + 1)
-    return [double_factorial(2 * i + 1) * bs[2 * i + 1] for i in range(count)]
+    """Asymptotic-expansion coefficients gamma_i = (2i+1)!! * b_{2i+1}, i = 0..count-1.
+
+    They are the Stirling series of Gamma, sum gamma_i y^i = exp(g) with
+    g = sum_j B_2j / (2j (2j-1)) y^(2j-1), so they are read off g.exp() at
+    prec=count, for which g needs the terms j <= count // 2.
+    """
+    g = GradedSeries(
+        ASCENDING,
+        {2 * j - 1: bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, count // 2 + 1)},
+        prec=count,
+    )
+    e = g.exp()
+    return [e.coefficient(i) for i in range(count)]
 
 
 # --- verifiers ---------------------------------------------------------------

@@ -119,6 +119,7 @@ class _Terms(Mapping):
 
 
 def factorial(n: int) -> int:
+    check_int(n, "n")
     if n < 0:
         raise ValueError(f"factorial of negative argument {n}")
     return math.factorial(n)
@@ -126,6 +127,7 @@ def factorial(n: int) -> int:
 
 def double_factorial(n: int) -> int:
     """n!! for n >= -1, with (-1)!! == 0!! == 1."""
+    check_int(n, "n")
     if n < -1:
         raise ValueError(f"double factorial undefined for {n}")
     out = 1
@@ -141,9 +143,11 @@ _bernoulli_table: list = []
 def bernoulli(n: int):
     """Bernoulli number B_n with the B_1 = -1/2 convention.
 
-    Computed as the reciprocal of (e^t - 1)/t in the series engine and cached;
-    the table is extended in blocks, to twice the index asked for.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k,
+    and every odd B_n but B_1 is 0.  Cached; the table is extended in blocks,
+    to twice the index asked for.
     """
+    check_int(n, "n")
     if n < 0:
         raise ValueError(f"Bernoulli number undefined for index {n}")
     if n >= len(_bernoulli_table):
@@ -152,14 +156,18 @@ def bernoulli(n: int):
 
 
 def _fill_bernoulli(upto: int) -> None:
-    # (e^t - 1)/t = sum t^k / (k+1)!; its reciprocal generates B_m / m!.
-    from .series import ASCENDING, GradedSeries
-
-    expm1_over_t = GradedSeries(
-        ASCENDING,
-        {k: Rational(1, factorial(k + 1)) for k in range(upto + 1)},
-        prec=upto + 1,
-    )
-    gen = expm1_over_t.reciprocal()
-    table = [gen.coefficient(m) * factorial(m) for m in range(upto + 1)]
+    # Tangent numbers T_1 .. T_K in place, ints only, in O(K^2) steps
+    # (Brent & Harvey 2011, "Fast computation of Bernoulli, tangent and
+    # secant numbers", Algorithm TangentNumbers).
+    K = upto // 2
+    t = [0, 1, *[0] * (K - 1)]
+    for k in range(2, K + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [ONE, Rational(-1, 2)]
+    for m in range(2, upto + 1):
+        k = m // 2
+        table.append(ZERO if m % 2 else Rational((-1) ** (k - 1) * m * t[k], 4**k * (4**k - 1)))
     _bernoulli_table[:] = table

@@ -21,7 +21,8 @@ from branchflow.branches import (
     verify_w0,
     w0_by_reversion,
 )
-from branchflow.exact import ZERO, rational
+from branchflow import exact
+from branchflow.exact import ZERO, double_factorial, rational
 from branchflow.series import ASCENDING, GradedSeries
 
 B_HEAD = [rational(x) for x in ("1", "1/3", "1/36", "-1/270", "1/4320")]
@@ -77,6 +78,30 @@ def test_stirling_head():
         rational(1, 288),
         rational(-139, 51840),
     ]
+
+
+def test_stirling_series_matches_the_branch_table():
+    # gamma_i = (2i+1)!! b_(2i+1) from the b recurrence, independent of the
+    # Bernoulli numbers; odd and even counts test the j <= count // 2 window,
+    # and 201 is what coeffs stirling --order 200 asks for
+    for count in (*range(41), 201):
+        bs = coeffs_b(2 * count + 1)
+        want = [double_factorial(2 * i + 1) * bs[2 * i + 1] for i in range(count)]
+        assert stirling_coeffs(count) == want, count
+
+
+@pytest.mark.parametrize("index, first_changed", [(2, 1), (4, 3)])
+def test_fault_stirling_bernoulli_entry(monkeypatch, index, first_changed):
+    # B_2j enters the exponent at y^(2j-1), so a wrong B_2j leaves gamma_i for
+    # i < 2j - 1 as they are and changes every gamma_i from there on
+    count = 12
+    good = stirling_coeffs(count)
+    table = list(exact._bernoulli_table)
+    table[index] = rational(-1, 31)
+    monkeypatch.setattr(exact, "_bernoulli_table", table)
+    bad = stirling_coeffs(count)
+    assert bad[:first_changed] == good[:first_changed]
+    assert all(b != g for b, g in zip(bad[first_changed:], good[first_changed:]))
 
 
 def test_w0_taylor_equals_reversion():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from branchflow import exact
 from branchflow.exact import (
     ONE,
     ZERO,
@@ -18,6 +19,7 @@ from branchflow.exact import (
     rational,
     rational_str,
 )
+from branchflow.series import ASCENDING, GradedSeries
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
@@ -118,7 +120,7 @@ def test_bernoulli_values():
 
 def test_bernoulli_defining_recurrence():
     # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1
-    for n in range(1, 30):
+    for n in range(1, 120):
         total = sum(rational(math.comb(n + 1, k)) * bernoulli(k) for k in range(n + 1))
         assert total == ZERO, n
 
@@ -126,3 +128,35 @@ def test_bernoulli_defining_recurrence():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_bernoulli_table_matches_the_generating_function():
+    # t/(e^t - 1) = sum B_m t^m / m!: the reciprocal of sum t^k/(k+1)! in the
+    # series engine, a route independent of the tangent numbers
+    top = 120
+    expm1_over_t = GradedSeries(
+        ASCENDING,
+        {k: Rational(1, factorial(k + 1)) for k in range(top + 1)},
+        prec=top + 1,
+    )
+    gen = expm1_over_t.reciprocal()
+    for m in range(top + 1):
+        assert bernoulli(m) == gen.coefficient(m) * factorial(m), m
+
+
+def test_bernoulli_table_does_not_depend_on_the_order_of_the_calls(monkeypatch):
+    # ascending calls grow the table in blocks (to 32, 66, 134), a descending
+    # run fills it once, to 238
+    tables = []
+    for indices in (range(120), range(119, -1, -1)):
+        monkeypatch.setattr(exact, "_bernoulli_table", [])
+        got = {n: bernoulli(n) for n in indices}
+        tables.append([got[n] for n in range(120)])
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("fn", [factorial, double_factorial, bernoulli], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [5.5, 2.0, True, Fraction(4), "3"], ids=repr)
+def test_integer_helpers_refuse_non_int(fn, n):
+    with pytest.raises(TypeError, match="must be an int"):
+        fn(n)

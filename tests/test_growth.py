@@ -31,6 +31,7 @@ def test_fit_recovers_a_power_law():
     [
         "mul", "reciprocal", "exp", "log", "coth", "revert", "compose", "flow_solve",
         "flow_apply", "vir_scan", "vir_grid", "heis_grid", "factorization", "recurrence",
+        "stirling", "bernoulli",
     ],
 )
 def test_times_each_order_in_a_fresh_interpreter(op):

@@ -82,6 +82,12 @@ def test_no_unused_privates(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
 
 
+def test_exact_imports_nothing_from_the_package():
+    # the exact-rational kernel is the bottom layer: it reads no other module
+    tree = ast.parse((PACKAGE / "exact.py").read_text(encoding="utf-8"))
+    assert [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level] == []
+
+
 def test_package_exports_exactly_what_it_imports():
     # both ways: a name deleted from a module leaves neither list behind
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))

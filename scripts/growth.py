@@ -11,7 +11,9 @@
 
 Each (order, run) is a fresh interpreter that builds the operation's input
 and times only the operation itself with ``time.perf_counter``.  The last
-stdout line is one JSON object: the median time per order, the exponent of
+stdout line is one JSON object: the median time per order, the median CPU
+time of the timed statement per order (user plus system from ``os.times``,
+reaped child processes included, in steps of the clock tick), the exponent of
 the least-squares line through (log order, log time), and the largest peak
 RSS per order (``VmHWM`` in ``/proc/self/status`` of the interpreters, KiB,
 so each reads its own peak: ``ru_maxrss`` of a child keeps the RSS of the
@@ -127,27 +129,28 @@ OPS = {
         "stirling_coeffs(n + 1)",
     ),
     "bernoulli": (
-        "bernoulli(k) for k = 0 .. n from the empty table",
-        "from branchflow import bernoulli",
-        "[bernoulli(k) for k in range(n + 1)]",
+        "family_rows('bernoulli', n) from the empty table: B_0 .. B_n",
+        "from branchflow.cli import family_rows",
+        'family_rows("bernoulli", n)',
     ),
 }
 
 CHILD = """\
-import sys, time
+import os, sys, time
 sys.path.insert(0, {src!r})
 n = {n}
 {setup}
-t0 = time.perf_counter()
+c0, t0 = os.times(), time.perf_counter()
 {stmt}
-t = time.perf_counter() - t0
+t, c1 = time.perf_counter() - t0, os.times()
+cpu = sum(c1[:4]) - sum(c0[:4])
 with open("/proc/self/status") as status:
-    print(t, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    print(t, cpu, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
 def time_once(src, op, n):
-    """(seconds, peak RSS in KiB) of one fresh interpreter."""
+    """(seconds, CPU seconds, peak RSS in KiB) of one fresh interpreter."""
     _, setup, stmt = OPS[op]
     code = CHILD.format(src=src, n=n, setup=setup, stmt=stmt)
     # bytecode caching on, as for an installed package: a copy of src/ without
@@ -156,8 +159,8 @@ def time_once(src, op, n):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     if done.returncode != 0:
         raise SystemExit(f"{op} at order {n} failed:\n{done.stderr}")
-    seconds, kib = done.stdout.split()[-2:]
-    return float(seconds), int(kib)
+    seconds, cpu, kib = done.stdout.split()[-3:]
+    return float(seconds), float(cpu), int(kib)
 
 
 def src_lines(src):
@@ -192,7 +195,7 @@ def main(argv=None):
 
     orders = sorted(set(args.orders))
     runs = [[time_once(args.src, args.op, n) for _ in range(args.runs)] for n in orders]
-    medians = [statistics.median(t for t, _ in per_order) for per_order in runs]
+    medians = [statistics.median(t for t, _, _ in per_order) for per_order in runs]
     slope = growth_exponent(orders, medians)
     print(json.dumps({
         "op": args.op,
@@ -201,7 +204,8 @@ def main(argv=None):
         "runs": args.runs,
         "orders": orders,
         "median_s": [round(t, 6) for t in medians],
-        "peak_rss_kib": [max(kib for _, kib in per_order) for per_order in runs],
+        "median_cpu_s": [round(statistics.median(c for _, c, _ in per), 6) for per in runs],
+        "peak_rss_kib": [max(kib for _, _, kib in per_order) for per_order in runs],
         "growth_exp": None if slope is None else round(slope, 2),
         "src_lines": src_lines(args.src),
     }))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .exact import ONE, Rational, Row, bernoulli, factorial
+from .exact import ONE, Rational, Row, bernoulli_upto, factorial
 from .report import Record, verifier
 from .series import ASCENDING, GradedSeries, cosh, coth, csch
 
@@ -155,9 +155,10 @@ def stirling_coeffs(count: int) -> list:
     g = sum_j B_2j / (2j (2j-1)) y^(2j-1), so they are read off g.exp() at
     prec=count, for which g needs the terms j <= count // 2.
     """
+    B = bernoulli_upto(2 * (count // 2))
     g = GradedSeries(
         ASCENDING,
-        {2 * j - 1: bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, count // 2 + 1)},
+        {2 * j - 1: B[2 * j] / (2 * j * (2 * j - 1)) for j in range(1, count // 2 + 1)},
         prec=count,
     )
     e = g.exp()

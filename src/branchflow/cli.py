@@ -26,7 +26,7 @@ from .branches import (
     verify_c_family,
     verify_w0,
 )
-from .exact import bernoulli, rational_str
+from .exact import bernoulli_upto, rational_str
 from .flows import (
     LAW_EVEN,
     flow_solve,
@@ -99,7 +99,7 @@ FAMILIES = {
     "E": lambda order: _series_rows(series_E(order), order),
     # w_1 .. w_order: the series leads at z^1
     "w0": lambda order: _series_rows(series_w0(order), order - 1),
-    "bernoulli": lambda order: [(n, bernoulli(n)) for n in range(order + 1)],
+    "bernoulli": lambda order: list(enumerate(bernoulli_upto(order))),
     "stirling": lambda order: list(enumerate(stirling_coeffs(order + 1))),
 }
 

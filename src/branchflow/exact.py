@@ -155,6 +155,16 @@ def bernoulli(n: int):
     return _bernoulli_table[n]
 
 
+def bernoulli_upto(n: int) -> list:
+    """[B_0, ..., B_n]; a table shorter than that is filled once, to n."""
+    check_int(n, "n")
+    if n < 0:
+        raise ValueError(f"Bernoulli number undefined for index {n}")
+    if n >= len(_bernoulli_table):
+        _fill_bernoulli(n)
+    return _bernoulli_table[: n + 1]
+
+
 def _fill_bernoulli(upto: int) -> None:
     # Tangent numbers T_1 .. T_K in place, ints only, in O(K^2) steps
     # (Brent & Harvey 2011, "Fast computation of Bernoulli, tangent and

@@ -83,8 +83,8 @@ def start_clock() -> float:
     return time.perf_counter()
 
 
-def _elapsed_ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
+def _elapsed_ms(t0: float, at: float | None = None) -> int:
+    return int(((time.perf_counter() if at is None else at) - t0) * 1000)
 
 
 def passed(identity: str, order: int, t0: float) -> VerificationReport:
@@ -95,9 +95,13 @@ def skipped(identity: str, order: int, t0: float) -> VerificationReport:
     return VerificationReport(identity, order, SKIPPED, None, _elapsed_ms(t0))
 
 
-def failed(identity: str, order: int, t0: float, exponent: int, lhs, rhs) -> VerificationReport:
+def failed(
+    identity: str, order: int, t0: float, exponent: int, lhs, rhs, at=None
+) -> VerificationReport:
+    """A FAIL at ``exponent``, timed to ``at``, the ``perf_counter`` reading when
+    the verdict was reached, or to now."""
     mm = Mismatch(exponent=exponent, lhs=str(lhs), rhs=str(rhs))
-    return VerificationReport(identity, order, FAIL, mm, _elapsed_ms(t0))
+    return VerificationReport(identity, order, FAIL, mm, _elapsed_ms(t0, at))
 
 
 def compare_series(identity, order, lhs, rhs, exponents, t0) -> VerificationReport:

@@ -14,6 +14,7 @@ from branchflow.exact import (
     Rational,
     Row,
     bernoulli,
+    bernoulli_upto,
     double_factorial,
     factorial,
     rational,
@@ -155,7 +156,40 @@ def test_bernoulli_table_does_not_depend_on_the_order_of_the_calls(monkeypatch):
     assert tables[0] == tables[1]
 
 
-@pytest.mark.parametrize("fn", [factorial, double_factorial, bernoulli], ids=lambda f: f.__name__)
+def test_bernoulli_prefix_reads_the_table(monkeypatch):
+    monkeypatch.setattr(exact, "_bernoulli_table", [])
+    assert bernoulli_upto(0) == [ONE]
+    assert bernoulli_upto(1) == [ONE, rational(-1, 2)]
+    head = bernoulli_upto(120)
+    assert head == [bernoulli(k) for k in range(121)]
+    with pytest.raises(ValueError):
+        bernoulli_upto(-1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 40, 200])
+@pytest.mark.parametrize("family", ["bernoulli", "stirling"])
+def test_bernoulli_prefixes_fill_the_table_once(monkeypatch, family, order):
+    # coeffs bernoulli and coeffs stirling read B_0 .. B_order at most: from an
+    # empty table, one fill, to no further than order + 1
+    from branchflow.cli import family_rows
+
+    want = family_rows(family, order)
+    fills = []
+    fill = exact._fill_bernoulli
+
+    def counted(upto):
+        fills.append(upto)
+        fill(upto)
+
+    monkeypatch.setattr(exact, "_bernoulli_table", [])
+    monkeypatch.setattr(exact, "_fill_bernoulli", counted)
+    assert family_rows(family, order) == want
+    assert len(fills) == 1 and fills[0] <= order + 1
+
+
+@pytest.mark.parametrize(
+    "fn", [factorial, double_factorial, bernoulli, bernoulli_upto], ids=lambda f: f.__name__
+)
 @pytest.mark.parametrize("n", [5.5, 2.0, True, Fraction(4), "3"], ids=repr)
 def test_integer_helpers_refuse_non_int(fn, n):
     with pytest.raises(TypeError, match="must be an int"):

@@ -45,6 +45,7 @@ def test_times_each_order_in_a_fresh_interpreter(op):
     assert out["op"] == op
     assert out["orders"] == [4, 8]
     assert len(out["median_s"]) == 2 and all(t > 0 for t in out["median_s"])
+    assert len(out["median_cpu_s"]) == 2 and all(c >= 0 for c in out["median_cpu_s"])
     assert isinstance(out["growth_exp"], float)
     assert len(out["peak_rss_kib"]) == 2
     assert all(isinstance(k, int) and k > 1024 for k in out["peak_rss_kib"])
@@ -70,6 +71,17 @@ def test_children_report_their_own_peak_rss():
     # 64 MiB held here: a child's ru_maxrss would read at least that much,
     # its own VmHWM reads what the child itself touched
     ballast = b"\x01" * (64 << 20)
-    seconds, kib = load_growth().time_once(str(SCRIPT.parent.parent / "src"), "recurrence", 8)
+    seconds, _, kib = load_growth().time_once(str(SCRIPT.parent.parent / "src"), "recurrence", 8)
     assert seconds > 0 and 1024 < kib < 48 * 1024
     del ballast
+
+
+def test_cpu_time_counts_the_reaped_children():
+    # the statement forks a child that spins 0.3 s of CPU and reaps it: the
+    # child's user and system time count, where this process barely ran
+    growth = load_growth()
+    spin = "while time.process_time() < 0.3:\n        pass\n    os._exit(0)"
+    stmt = f"pid = os.fork()\nif pid == 0:\n    {spin}\nos.waitpid(pid, 0)"
+    growth.OPS["spin"] = ("a forked child spinning 0.3 s of CPU", "", stmt)
+    seconds, cpu, _ = growth.time_once(str(SCRIPT.parent.parent / "src"), "spin", 1)
+    assert seconds >= 0.3 and cpu >= 0.25

@@ -10,7 +10,7 @@ import pytest
 from branchflow import FlowCoeffs, LinearOp, Mismatch, VerificationReport
 from branchflow.branches import BranchCoeffs
 from branchflow.exact import ONE, Rational
-from branchflow.report import FAIL, PASS
+from branchflow.report import FAIL, PASS, failed, start_clock
 from branchflow.series import SeriesError
 
 
@@ -77,3 +77,11 @@ def test_report_json_lines_are_unchanged():
         '{"elapsed_ms": 0, "first_mismatch": null, "identity": "grading(m=2)", "order": 9, '
         '"status": "PASS"}'
     )
+
+
+def test_a_failure_is_timed_to_its_verdict_or_to_now():
+    # a scan's forked child reads the clock at its verdict; the report keeps that reading
+    mismatch = Mismatch(3, "1/36", "-1/7")
+    report = failed("grading(m=2)", 9, 100.0, 3, Rational(1, 36), "-1/7", at=101.5)
+    assert report == VerificationReport("grading(m=2)", 9, FAIL, mismatch, 1500)
+    assert failed("grading(m=2)", 9, start_clock() - 2, 3, "1/36", "-1/7").elapsed_ms >= 2000

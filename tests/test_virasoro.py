@@ -5,10 +5,12 @@ free-energy fixture."""
 import json
 import math
 import numbers
+import os
 import random
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -545,6 +547,8 @@ def test_scans_apply_each_image_once_per_polynomial(monkeypatch):
 
     monkeypatch.setattr(virasoro, "make_L", counting(make_L))
     monkeypatch.setattr(virasoro, "make_alpha", counting(make_alpha))
+    # a forked child's images would be counted in the child: walk in one process
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: False)
     corpus = corpus_monomials(4)
     expected = Counter()
 
@@ -585,6 +589,201 @@ def test_scans_apply_each_image_once_per_polynomial(monkeypatch):
         for m in SPAN:
             expect(make_L(m), p)
     assert calls == expected
+
+
+# --- scans split between two processes ------------------------------------------
+#
+# A scan walks the even corpus indices here and the odd ones in a forked child.
+# These tests force the split and hold it against the one-process walk.
+
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def scan_all(corpus):
+    return [
+        *scan_virasoro_commutators(PAIRS, corpus),
+        *scan_heisenberg_commutators(HEIS, corpus),
+        *scan_grading([(m,) for m in SPAN], corpus),
+    ]
+
+
+def serial_scan_all(corpus):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(virasoro, "_forks", lambda pairs: False)
+        return scan_all(corpus)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@fork_only
+def test_the_two_halves_partition_the_corpus(monkeypatch):
+    # this process walks the even indices, once; the child, another process,
+    # walks the odd ones in one walk; every index comes back exactly once
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: True)
+    here, walks = os.getpid(), []
+
+    def walk(indices):
+        if os.getpid() == here:
+            walks.append(list(indices))
+        return {(i,): (i, os.getpid(), len(indices)) for i in indices}
+
+    for size in (2, 3, 8, 105):
+        walks.clear()
+        found = virasoro._walk_halves(walk, size, size)
+        assert walks == [list(range(0, size, 2))]
+        assert sorted(found) == [(i,) for i in range(size)]
+        for i in range(1, size, 2):
+            assert found[i,][1] != here and found[i,][2] == size // 2
+        assert_no_child_left()
+
+
+def test_a_walk_forks_only_when_it_pays_and_two_processes_can_share_it():
+    least = virasoro._SPLIT_PAIRS
+    assert not virasoro._forks(0) and not virasoro._forks(least - 1)
+    can = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+    assert virasoro._forks(least) == can
+    # fork copies only the calling thread: with another one running, never fork
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert not virasoro._forks(100 * least)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def forks_asked(monkeypatch):
+    """Count the forks scans ask for; each one fails, so the scan walks here."""
+    asked = []
+
+    def fork():
+        asked.append(os.getpid())
+        raise OSError("no fork in this test")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    return asked
+
+
+def test_one_cell_checks_and_small_scans_walk_in_one_process(monkeypatch):
+    asked, corpus = forks_asked(monkeypatch), default_corpus(9)
+    check_virasoro_commutator(3, -2, corpus)
+    check_heisenberg_commutator(2, 1, corpus)
+    check_grading(2, corpus)
+    scan_grading([(m,) for m in range(-5, 6)], corpus)
+    scan_virasoro_commutators([(m, n) for m in range(-1, 2) for n in range(-1, 2)], corpus[:20])
+    assert asked == []
+    scan_virasoro_commutators(PAIRS, corpus)
+    assert len(asked) == virasoro._forks(len(PAIRS) * len(corpus))
+
+
+@fork_only
+def test_a_failed_fork_walks_everything_here_and_closes_its_pipe(monkeypatch):
+    corpus = corpus_monomials(5)
+    serial = serial_scan_all(corpus)
+    pipes, real_pipe = [], os.pipe
+
+    def pipe():
+        made = real_pipe()
+        pipes.extend(made)
+        return made
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    asked = forks_asked(monkeypatch)
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: True)
+    split = scan_all(corpus)
+    assert len(asked) == 3 and len(pipes) == 6
+    assert [outcome(r) for r in split] == [outcome(r) for r in serial]
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+@fork_only
+def test_split_scans_keep_the_first_failure_of_either_half(monkeypatch):
+    # L_0 wrong at q_1^2 (index 3, walked by the child) and, differently, at
+    # q_1^3 (index 6, walked here): each failing cell reports index 3 first,
+    # as the one-process walk does
+    corpus = corpus_monomials(3)
+    assert [list(p.terms) for p in corpus[3::3]] == [[(1, 1)], [(1, 1, 1)]]
+    wrong = {(1, 1): ((5,), 3), (1, 1, 1): ((7,), 4)}
+    L0 = make_L(0)
+    bad = LinearOp("L[0]", lambda key: [wrong[key]] if key in wrong else L0.image(key), 2)
+    monkeypatch.setattr(virasoro, "make_L", lambda m: bad if m == 0 else make_L(m))
+    serial = serial_scan_all(corpus)
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: True)
+    split = scan_all(corpus)
+    assert_no_child_left()
+    assert [outcome(r) for r in split] == [outcome(r) for r in serial]
+    grading_0 = split[-len(SPAN) :][list(SPAN).index(0)]
+    assert grading_0.status == FAIL
+    assert (grading_0.first_mismatch.exponent, grading_0.first_mismatch.lhs) == (5, "3/2")
+    assert sum(r.status == FAIL for r in split) > 1
+
+
+class Boom(Exception):
+    pass
+
+
+def raising_when(condition):
+    """make_L whose L_1 raises Boom on any monomial while ``condition()``."""
+
+    def make(m):
+        L = make_L(m)
+        if m != 1:
+            return L
+
+        def image(key):
+            if condition():
+                raise Boom(key)
+            return L.image(key)
+
+        return LinearOp(L.name, image, L.den)
+
+    return make
+
+
+@fork_only
+def test_an_error_in_this_process_propagates_and_leaves_no_child(monkeypatch):
+    here = os.getpid()
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: True)
+    monkeypatch.setattr(virasoro, "make_L", raising_when(lambda: os.getpid() == here))
+    with pytest.raises(Boom):
+        scan_virasoro_commutators(PAIRS, corpus_monomials(5))
+    assert_no_child_left()
+
+
+@fork_only
+def test_a_failing_child_is_redone_here(monkeypatch):
+    # L_1 raises in the child only: the child exits 1 and the odd half is
+    # walked again here, so this process reads every image the serial walk does
+    here, calls = os.getpid(), Counter()
+
+    def counted(m):
+        L = raising_when(lambda: os.getpid() != here)(m)
+
+        def image(key):
+            if os.getpid() == here:
+                calls[L.name, key] += 1
+            return L.image(key)
+
+        return LinearOp(L.name, image, L.den)
+
+    corpus = corpus_monomials(4)
+    monkeypatch.setattr(virasoro, "make_L", counted)
+    serial = serial_scan_all(corpus)
+    serial_calls = Counter(calls)
+    calls.clear()
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: True)
+    split = scan_all(corpus)
+    assert_no_child_left()
+    assert [r.status for r in split].count(PASS) > 0
+    assert [outcome(r) for r in split] == [outcome(r) for r in serial]
+    assert calls == serial_calls
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -19,7 +19,9 @@ RSS per order (``VmHWM`` in ``/proc/self/status`` of the interpreters, KiB,
 so each reads its own peak: ``ru_maxrss`` of a child keeps the RSS of the
 process that spawned it as a floor), so that a trade of memory for time shows
 next to its fit, and the line count of the ``branchflow`` package it timed
-(``src_lines``).  ``recurrence`` grows the branch table ``b`` from empty to
+(``src_lines``).  ``pow`` raises ``1 + mu`` to ``-n``, so its exponent
+grows with the order, as the ``inner ** kmin`` of ``compose`` does for a
+descending outer series.  ``recurrence`` grows the branch table ``b`` from empty to
 b_n, as ``coeffs b --order n`` does; ``stirling`` and ``bernoulli`` build the
 rows of ``coeffs stirling --order n`` and ``coeffs bernoulli --order n`` from
 empty tables.  For the operator ops the order is the weight bound of the
@@ -57,6 +59,11 @@ OPS = {
         "1/(1 + mu), mu = series_mu(n)",
         "from branchflow import series_mu\nx = 1 + series_mu(n)",
         "x.reciprocal()",
+    ),
+    "pow": (
+        "(1 + mu) ** -n, mu = series_mu(n): the exponent grows with the order, as in compose",
+        "from branchflow import series_mu\nx = 1 + series_mu(n)",
+        "x ** -n",
     ),
     "exp": (
         "exp(-mu), mu = series_mu(n), the dense c-family series",

@@ -13,7 +13,7 @@ from operator import add, mul
 
 from .exact import ONE, Rational, Row, bernoulli_upto, factorial
 from .report import Record, verifier
-from .series import ASCENDING, GradedSeries, cosh, coth, csch
+from .series import ASCENDING, GradedSeries, coth, csch
 
 
 class BranchCoeffs(Record):
@@ -212,7 +212,7 @@ def verify_K_functional(order: int, K=None):
     # wins one back, so K is needed through x^(order+1)
     KK = K if K is not None else series_K(order + 1)
     csch_K = csch(KK)
-    k_coth_k = KK * cosh(KK) * csch_K
+    k_coth_k = KK * coth(KK)
     rhs = KK * (1 - k_coth_k).exp() * csch_K
     yield _gaussian(order), rhs, range(0, order + 1)
 

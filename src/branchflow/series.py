@@ -297,15 +297,7 @@ class GradedSeries:
     # --- multiplicative structure ---------------------------------------
 
     def reciprocal(self):
-        if self.is_zero():
-            raise LeadingTermError("reciprocal of a series with no known leading term")
-        wp = self.wprec
-        if wp is None:
-            raise TruncationError("reciprocal does not terminate on exact input; truncate() first")
-        # 1/(cl + s) with s the rest, over the row's denominator D: D/(n_L + D s)
-        L, den, nl = self.wlead, self._row._den, self._row._num[self.lead]
-        inv = _first_order(self._rest(), wp - L, -1, 1, nl, Rational(den, nl))
-        return self._placed(inv, -L, wp - 2 * L)
+        return self._power(-1)
 
     def _rest(self):
         """The numerators after the lead, keyed by w relative to it, ascending."""
@@ -322,48 +314,59 @@ class GradedSeries:
             return self.pow(n)
         if n == 0:
             return GradedSeries.constant(1, self.direction)
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return self._power(n)
 
     def pow(self, exponent):
-        """Raise to a rational power; needs unit leading coefficient.
+        """Raise to a rational power; a non-integer one needs unit leading coefficient.
 
-        A non-integer power ``r`` of ``z^e0 (1 + s)`` is ``z^(r*e0) (1 + s)^r``,
-        whose second factor comes from J.C.P. Miller's recurrence (see
-        :func:`_first_order`).  ``r*e0`` must be an integer.  The result is
-        known to the input's relative depth: ``wprec - wlead`` orders past its
-        lead ``z^(r*e0)``.
+        An integer exponent is ``x ** n``.  A non-integer power ``r`` of
+        ``z^e0 (1 + s)`` is ``z^(r*e0) (1 + s)^r``, where ``r*e0`` must be an
+        integer; :meth:`_power` computes it.
         """
         r = rational(exponent)
         if r.denominator == 1:
             return self ** int(r)
         if self.is_zero():
             raise LeadingTermError("rational power of a series with no known leading term")
-        wp = self.wprec
-        if wp is None:
+        if self.wprec is None:
             raise TruncationError("rational power needs a finite window; truncate() first")
         e0 = self.lead
         if self.coeffs[e0] != 1:
             raise LeadingTermError(
                 f"rational power requires unit leading coefficient, got {rational_str(self.coeffs[e0])}"
             )
-        shift_exp = r * e0
-        if shift_exp.denominator != 1:
+        if (r * e0).denominator != 1:
             raise LeadingTermError(
                 f"exponent {r} * leading exponent {e0} is not an integer"
             )
-        L, q, lead = self.wlead, r.denominator, self._w(int(shift_exp))
-        out = _first_order(self._rest(), wp - L, r.numerator, q, q * self._row._den)
-        return self._placed(out, lead, wp - L + lead)
+        return self._power(r.numerator, r.denominator)
+
+    def _power(self, p, q=1):
+        """``x^(p/q)`` for ``x = c z^e0 (1 + s)``: ``c^(p/q) z^(p e0/q) (1 + s)^(p/q)``.
+
+        The second factor comes from J.C.P. Miller's recurrence (see
+        :func:`_first_order`); ``q > 1`` needs ``c = 1`` and an integer
+        ``p e0/q``, which :meth:`pow` checks.  A truncated result is known to
+        the input's relative depth, ``wprec - wlead`` orders past its lead,
+        as repeated products would give.  An exact input to a power ``n > 0``
+        gives the exact polynomial, ``n`` times the input's span; a truncated
+        zero gives zero on ``n`` times its window, as ``*`` does.
+        """
+        wp = self.wprec
+        if p < 0:
+            if self.is_zero():
+                raise LeadingTermError("reciprocal of a series with no known leading term")
+            if wp is None:
+                raise TruncationError("reciprocal does not terminate on exact input; truncate() first")
+        elif self.is_zero():
+            return GradedSeries._cut(self.direction, self._row, None if wp is None else p * wp)
+        # over the row's denominator D, (n_L + S)^(p/q) solves (q n_L + q S) g' = p S' g
+        L, den, nl, rest = self.wlead, self._row._den, self._row._num[self.lead], self._rest()
+        head = Rational(nl, den) ** p if q == 1 else ONE
+        depth = p * max(rest, default=0) + 1 if wp is None else wp - L
+        out = _first_order(rest, depth, p, q, q * nl, head)
+        lead = p * L // q
+        return self._placed(out, lead, None if wp is None else wp - L + lead)
 
     def sqrt(self):
         return self.pow(Rational(1, 2))
@@ -544,10 +547,11 @@ def _first_order(s, depth, p, b, q, head=ONE, source=False):
     ``s`` maps ``j >= 1``, ascending, to ``s_j``; ``s'`` joins the right side
     when ``source`` is set.  The coefficients of ``w^(k-1)`` give ``q k g_k =
     [source] k s_k + sum_{j=1..k} ((p + b) j - b k) s_j g_(k-j)``, one pass
-    over ``s`` per coefficient.  ``b = q`` is J.C.P. Miller's recurrence for
-    ``(1 + s)^(p/q)``, and ``p, b = -1, 1`` with ``head = 1/q`` gives
-    ``1/(q + s)``; ``p, b = 1, 0`` with ``q = 1`` gives ``e^s``, and ``p, b =
-    0, 1`` with ``q = 1``, ``head = 0`` and ``source`` gives ``log(1 + s)``.
+    over ``s`` per coefficient.  ``b`` and ``q`` set to ``r`` and ``r c``
+    give J.C.P. Miller's recurrence for ``head (1 + s/c)^(p/r)``: with ``r = 1``
+    and ``head = c^p`` that is ``(c + s)^p`` for any integer ``p``.  ``p, b = 1,
+    0`` with ``q = 1`` gives ``e^s``, and ``p, b = 0, 1`` with ``q = 1``,
+    ``head = 0`` and ``source`` gives ``log(1 + s)``.
     Scaling ``q`` and ``s`` together scales both sides, so a caller whose
     ``s`` is int numerators over ``D`` passes them with ``q`` times ``D`` and
     the same ``head``: every sum then runs in ints, over the denominator of
@@ -570,21 +574,13 @@ def _first_order(s, depth, p, b, q, head=ONE, source=False):
 # --- hyperbolic maps -------------------------------------------------------
 
 
-def sinh(g):
-    e = g.exp()
-    return (e - g.__neg__().exp()) / 2
-
-
-def cosh(g):
-    e = g.exp()
-    return (e + g.__neg__().exp()) / 2
-
-
 def coth(g):
-    e, e_neg = g.exp(), g.__neg__().exp()
-    return (e + e_neg) * (e - e_neg).reciprocal()
+    """``(e + 1)/(e - 1)`` with ``e = e^(2g)``, known to the relative depth of ``g``."""
+    e = (2 * g).exp()
+    return (e + 1) * (e - 1).reciprocal()
 
 
 def csch(g):
-    return sinh(g).reciprocal()
-
+    """``2/(e - 1/e)`` with ``e = e^g``, known to the relative depth of ``g``."""
+    e = g.exp()
+    return 2 * (e - e.reciprocal()).reciprocal()

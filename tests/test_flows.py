@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from branchflow import flows
+from branchflow import exact, flows
 from branchflow.branches import coeffs_b, coeffs_c, series_K
 from branchflow.exact import ONE, ZERO, bernoulli, rational
 from branchflow.flows import (
@@ -241,6 +241,11 @@ def test_generator_rejects_order_raising_first_exponent(values):
     fc = FlowCoeffs(values, law=lambda k: 2 - k)
     with pytest.raises(SeriesError, match="exponent law must not raise the order"):
         fc.generator()
+
+
+def test_unknown_law_name_is_refused():
+    with pytest.raises(SeriesError, match="unknown exponent law 'odd'"):
+        flow_solve(series_f(4), law="odd")
 
 
 def test_generator_rejects_non_decreasing_law():
@@ -513,6 +518,19 @@ def test_fault_nz_bernoulli():
     assert rep.status == "FAIL"
     assert rep.first_mismatch.exponent == -5
     assert rep.first_mismatch.lhs == "-2/93"
+
+
+def test_nz_bernoulli_fills_the_bernoulli_table_once(monkeypatch):
+    fills, fill = [], exact._fill_bernoulli
+
+    def recorded_fill(upto):
+        fills.append(upto)
+        fill(upto)
+
+    monkeypatch.setattr(exact, "_bernoulli_table", [])
+    monkeypatch.setattr(exact, "_fill_bernoulli", recorded_fill)
+    assert verify_nz_identity(60).status == "PASS"
+    assert fills == [60]
 
 
 def test_verifier_stops_at_the_first_failing_check():

@@ -29,7 +29,7 @@ def test_fit_recovers_a_power_law():
 @pytest.mark.parametrize(
     "op",
     [
-        "mul", "reciprocal", "exp", "log", "coth", "revert", "compose", "flow_solve",
+        "mul", "reciprocal", "pow", "exp", "log", "coth", "revert", "compose", "flow_solve",
         "flow_apply", "vir_scan", "vir_grid", "heis_grid", "factorization", "recurrence",
         "stirling", "bernoulli",
     ],

@@ -33,6 +33,13 @@ RECORDS = [
 ]
 
 
+def test_record_repr_names_the_fields_in_order():
+    assert repr(Mismatch(3, "1/36", "-1/7")) == "Mismatch(exponent=3, lhs='1/36', rhs='-1/7')"
+    assert repr(FlowCoeffs((ONE,), law="even", sign=-1)) == (
+        "FlowCoeffs(values=(Fraction(1, 1),), law='even', sign=-1)"
+    )
+
+
 @pytest.mark.parametrize("cls, fields, changed", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_records_keep_their_contract(cls, fields, changed):
     record = cls(**fields)

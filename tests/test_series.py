@@ -17,10 +17,8 @@ from branchflow.series import (
     SeriesError,
     SubstitutionError,
     TruncationError,
-    cosh,
     coth,
     csch,
-    sinh,
 )
 
 
@@ -50,6 +48,22 @@ scaled_series = st.tuples(
     small_rationals.filter(lambda c: c != 0),
     st.lists(small_rationals, min_size=5, max_size=5),
 ).map(lambda t: asc({1: t[0], **{k + 2: c for k, c in enumerate(t[1])}}, prec=9))
+
+
+directions = st.sampled_from([ASCENDING, DESCENDING])
+
+
+@st.composite
+def sparse_series(draw, leads, coeffs):
+    """Sparse series of either direction leading at a w from ``leads``: exact, or
+    known on a window that may hold none of its terms, so zeros come in both kinds."""
+    d = draw(directions)
+    sign = 1 if d == ASCENDING else -1
+    lead = draw(leads)
+    terms = draw(st.dictionaries(st.integers(0, 10), coeffs, max_size=6))
+    wp = draw(st.one_of(st.none(), st.integers(lead - 2, lead + 12)))
+    known = {sign * (lead + k): c for k, c in terms.items() if wp is None or lead + k < wp}
+    return GradedSeries(d, known, None if wp is None else sign * wp)
 
 
 @st.composite
@@ -120,6 +134,22 @@ def test_truncate_cannot_widen():
         s.truncate(9)
 
 
+def test_rejects_unknown_direction():
+    with pytest.raises(SeriesError, match="unknown direction 'sideways'"):
+        GradedSeries("sideways", {0: 1})
+
+
+def test_repr_shows_ten_terms_and_the_window():
+    many = asc({k: rational(1, k) for k in range(-1, 12) if k}, prec=12)
+    assert repr(many) == (
+        "<ascending -1*z^-1 + 1*z^1 + 1/2*z^2 + 1/3*z^3 + 1/4*z^4 + 1/5*z^5"
+        " + 1/6*z^6 + 1/7*z^7 + 1/8*z^8 + 1/9*z^9 + ... + O(z^12)>"
+    )
+    assert repr(desc({0: 3, -2: rational(-1, 2)})) == "<descending 3 + -1/2*z^-2>"
+    assert repr(asc({}, prec=4)) == "<ascending 0 + O(z^4)>"
+    assert repr(desc({})) == "<descending 0>"
+
+
 def test_lead_and_depth():
     s = desc({1: 1, 0: rational(2, 3)}, prec=-3)
     assert s.lead == 1
@@ -155,6 +185,14 @@ def test_mul_window_rule():
     # exact zero annihilates the unknown tail
     z = a * 0
     assert z.is_zero() and z.prec is None
+
+
+def test_series_divided_by_series():
+    # (z + z^2)/(1 + z) is z, on the window min(8 + 0, 8 + 1) of the product
+    q = asc({1: 1, 2: 1}, prec=8) / asc({0: 1, 1: 1}, prec=8)
+    assert q == asc({1: 1}, prec=8)
+    with pytest.raises(TruncationError):
+        asc({1: 1}) / asc({0: 1, 1: 1})
 
 
 def test_geometric_reciprocal():
@@ -366,21 +404,6 @@ def test_revert_round_trips(g):
 # --- hyperbolic expansions ------------------------------------------------------
 
 
-def test_sinh_cosh_defining_series():
-    t = asc({1: 1}, prec=8)
-    s = sinh(t)
-    assert [s.coefficient(k) for k in (1, 3, 5)] == [
-        rational(1), rational(1, 6), rational(1, 120)
-    ]
-    c = cosh(t)
-    assert [c.coefficient(k) for k in (0, 2, 4)] == [
-        rational(1), rational(1, 2), rational(1, 24)
-    ]
-    # parity: sinh odd, cosh even
-    assert all(e % 2 == 1 for e in s.support())
-    assert all(e % 2 == 0 for e in c.support())
-
-
 def test_coth_csch_pole_expansions():
     t = asc({1: 1}, prec=9)
     ct = coth(t)
@@ -393,9 +416,23 @@ def test_coth_csch_pole_expansions():
     assert cs.coefficient(-1) == ONE
     assert cs.coefficient(1) == rational(-1, 6)
     assert cs.coefficient(3) == rational(7, 360)
-    # == compares windows too
-    for g in (asc({1: 1, 2: rational(1, 2), 3: -3}, prec=9), desc({-1: 1, -2: 2}, prec=-8)):
-        assert coth(g) == cosh(g) * csch(g)
+
+
+@given(sparse_series(st.integers(-1, 3), small_rationals))
+@settings(max_examples=150)
+def test_coth_csch_match_two_exponential_definitions(g):
+    # == compares windows too; where the definitions refuse, so do coth and csch
+    try:
+        e, e_neg = g.exp(), (-g).exp()
+        want_coth = (e + e_neg) * (e - e_neg).reciprocal()
+        want_csch = ((e - e_neg) / 2).reciprocal()
+    except SeriesError:
+        for fn in (coth, csch):
+            with pytest.raises(SeriesError):
+                fn(g)
+        return
+    assert coth(g) == want_coth
+    assert csch(g) == want_csch
 
 
 def test_coth_coefficients_are_scaled_bernoulli():
@@ -409,8 +446,6 @@ def test_coth_coefficients_are_scaled_bernoulli():
 
 
 # --- window honesty ----------------------------------------------------------------
-
-directions = st.sampled_from([ASCENDING, DESCENDING])
 
 
 @st.composite
@@ -593,6 +628,35 @@ def test_mul_and_reciprocal_match_fraction_reference(case):
     if x.coeffs and x.prec is not None:
         got = x.reciprocal()
         assert (got.coeffs, got.prec) == fraction_reciprocal(x)
+
+
+# --- integer powers against binary powering ----------------------------------------
+
+
+def product_power(x, n):
+    """``x ** n`` by binary powering with ``*``, through ``reciprocal`` for n < 0."""
+    if n == 0:
+        return GradedSeries.constant(1, x.direction)
+    if n < 0:
+        x, n = x.reciprocal(), -n
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+@given(sparse_series(st.integers(-3, 3), kernel_rationals), st.integers(-4, 5))
+@settings(max_examples=200)
+def test_integer_powers_match_binary_powering(x, n):
+    got, want = outcome(lambda s: s ** n, x), outcome(lambda s: product_power(s, n), x)
+    if isinstance(want, GradedSeries):
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+    else:
+        assert got is want
 
 
 # --- exp and log against their power sums ------------------------------------------

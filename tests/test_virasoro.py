@@ -126,6 +126,19 @@ def test_qpoly_sums_keys_of_one_monomial():
     assert QPoly({(2, 1, 1): R(1), (1, 2, 1): R(-1), (4,): R(5)}).terms == {(4,): R(5)}
 
 
+def test_qpoly_repr_lists_terms_in_weight_order():
+    p = QPoly({(3, 1, 1): R(1), (): R(-1, 2)})
+    assert repr(p) == "QPoly(-1/2*1 + 1*q1*q1*q3)"
+    assert repr(p - p) == "QPoly(0)"
+
+
+def test_default_corpus_samples_only_below_weight_12():
+    # from weight 12 up the corpus is every monomial, with no random samples
+    for bound in (12, 13):
+        assert default_corpus(bound) == corpus_monomials(bound)
+    assert len(default_corpus(11)) == len(corpus_monomials(11)) + 8
+
+
 def test_qpoly_derivative_and_multiplication():
     sq = (Q3 * Q3) * Q1
     assert sq.derivative(3) == make_alpha(-1)(Q3).scale(2)

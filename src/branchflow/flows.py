@@ -1,19 +1,21 @@
-"""Derivation flows exp(sign * sum g_k z^{p(k)} d/dz) and the named series they move.
+"""Derivation flows exp(sign * sum g_k z^(1 - s k) d/dz) and the named series they move.
 
-A coefficient list with an exponent law p (p(k) <= 0, strictly decreasing)
-defines a derivation D whose exponential acts on descending Laurent series.
-Each application of D strictly lowers the leading exponent, so the terms
-D^j target / j! of a flow fill one depth at a time in one engine, which
-:func:`flow_apply` runs with the generator given and :func:`flow_solve`
-with each generator coefficient solved from a target z + lower order.
+A coefficient list with a named exponent law, ``LAW_STANDARD`` (step s = 1)
+or ``LAW_EVEN`` (s = 2), defines a derivation D whose exponential acts on
+descending Laurent series.  Each application of D strictly lowers the
+leading exponent, so the terms D^j target / j! of a flow fill one depth at a
+time in one engine, which :func:`flow_apply` runs with the generator given
+and :func:`flow_solve` with each generator coefficient solved from a target
+z + lower order.
 """
 
 from __future__ import annotations
 
 import random
+from functools import wraps
 
 from .branches import coeffs_b, coeffs_c, series_K
-from .exact import ONE, Rational, Row, ZERO, bernoulli_upto, factorial, rational
+from .exact import ONE, Rational, Row, ZERO, bernoulli_upto, check_int, factorial, rational
 from .report import Record, verifier
 from .series import (
     ASCENDING,
@@ -25,24 +27,23 @@ from .series import (
     coth,
 )
 
-LAW_STANDARD = "standard"  # p(k) = 1 - k
-LAW_EVEN = "even"  # p(m) = 1 - 2m
+LAW_STANDARD = "standard"  # step 1: g_k at z^(1 - k)
+LAW_EVEN = "even"  # step 2: g_m at z^(1 - 2m), the coefficient of L_2m
+_STEPS = {LAW_STANDARD: 1, LAW_EVEN: 2}
 
 _series_cache: dict = {}
 
 
-def _law_fn(law):
-    if law == LAW_STANDARD:
-        return lambda k: 1 - k
-    if law == LAW_EVEN:
-        return lambda m: 1 - 2 * m
-    if callable(law):
-        return law
-    raise SeriesError(f"unknown exponent law {law!r}")
+def _step(law) -> int:
+    """The step s of a named law; any other value, a callable included, is refused."""
+    try:
+        return _STEPS[law]
+    except (KeyError, TypeError):  # TypeError: an unhashable law
+        raise SeriesError(f"unknown exponent law {law!r}") from None
 
 
 class FlowCoeffs(Record):
-    """Generator coefficients g_1, g_2, ... for D = sign * sum g_k z^{p(k)} d/dz."""
+    """Generator coefficients g_1, g_2, ... for D = sign * sum g_k z^(1 - s k) d/dz."""
 
     __slots__ = ("values", "law", "sign")
 
@@ -59,23 +60,14 @@ class FlowCoeffs(Record):
     def __len__(self):
         return len(self.values)
 
-    def exponent(self, k: int) -> int:
-        return _law_fn(self.law)(k)
-
     def with_sign(self, sign: int) -> "FlowCoeffs":
         return FlowCoeffs(self.values, self.law, sign)
 
     def generator(self) -> GradedSeries:
-        """sign * sum g_k z^{p(k)} as a series whose prec marks the untracked tail."""
-        p = _law_fn(self.law)
-        exps = [p(k) for k in range(1, len(self.values) + 2)]
-        if exps[0] > 0:
-            raise SeriesError("exponent law must not raise the order")
-        for here, nxt in zip(exps, exps[1:]):
-            if nxt >= here:
-                raise SeriesError("exponent law must be strictly decreasing")
-        coeffs = {p(k): self.sign * rational(g) for k, g in enumerate(self.values, start=1)}
-        return GradedSeries(DESCENDING, coeffs, prec=exps[-1])
+        """sign * sum g_k z^(1 - s k) as a series whose prec marks the untracked tail."""
+        s = _step(self.law)
+        coeffs = {1 - s * k: self.sign * rational(g) for k, g in enumerate(self.values, start=1)}
+        return GradedSeries(DESCENDING, coeffs, prec=1 - s * (len(self.values) + 1))
 
 
 def _flow_fill(g: Row, t0: Row, top: int, solve=()) -> Row:
@@ -129,32 +121,27 @@ def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:
 
 
 def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> FlowCoeffs:
-    """Solve exp(sign * sum g_k z^{p(k)} d/dz) z = target for the g_k.
+    """Solve exp(sign * sum g_k z^(1 - s k) d/dz) z = target for g_1 .. g_count.
 
-    The law and the target window are checked one coefficient at a time, in
-    that order; then the flow of z fills, with each g_k solved at its depth.
+    The default count takes every g_k whose exponent the target's window
+    knows.  Then the flow of z fills, with each g_k solved at its depth.
     """
     if target.direction != DESCENDING:
         raise SeriesError("flows act on descending series")
     if target.lead != 1 or target.lead_coeff != ONE:
         raise LeadingTermError("flow target must start with z itself")
-    p = _law_fn(law)
+    s = _step(law)
     if count is None:
         if target.prec is None:
             raise TruncationError("coefficient count must be given for an exact target")
-        count = 0
-        while p(count + 1) > target.prec:
-            count += 1
-    wanted: dict = {}  # exponent p(k) -> target coefficient
-    prev = 1
-    for k in range(1, count + 1):
-        pk = p(k)
-        if pk > 0 or pk >= prev:
-            raise SeriesError("exponent law must lower the order strictly")
-        wanted[pk] = target.coefficient(pk)
-        prev = pk
+        count = -target.prec // s
+    else:
+        check_int(count, "count")
+        if count < 0:
+            raise ValueError(f"coefficient count must not be negative, got {count}")
+    wanted = {1 - s * k: target.coefficient(1 - s * k) for k in range(1, count + 1)}
     g = Row._of({}, 1)
-    _flow_fill(g, GradedSeries.identity(DESCENDING)._row, 1 - prev, solve=wanted)
+    _flow_fill(g, GradedSeries.identity(DESCENDING)._row, s * count, solve=wanted)
     return FlowCoeffs(tuple(sign * g.terms[e] for e in wanted), law, sign)
 
 
@@ -176,42 +163,43 @@ def _windowed(series: GradedSeries, order: int) -> GradedSeries:
     return series.truncate(prec)
 
 
-def _cached_series(name: str, order: int, build) -> GradedSeries:
-    have = _series_cache.get(name)
-    if have is None or have[0] < order:
-        have = (order, build(order))
-        _series_cache[name] = have
-    return _windowed(have[1], order)
+def _cached(build):
+    """Cache ``build`` by name; each call windows its deepest build so far."""
+    name = build.__name__
+
+    @wraps(build)
+    def cached(order: int) -> GradedSeries:
+        have = _series_cache.get(name)
+        if have is None or have[0] < order:
+            have = (order, build(order))
+            _series_cache[name] = have
+        return _windowed(have[1], order)
+
+    return cached
 
 
+@_cached
 def series_f(order: int) -> GradedSeries:
     """f = (-2 log(1-w) - 2w)^(-1/2) with w = 1/(1+z); starts z + 2/3 - z^{-1}/12."""
-
-    def build(n):
-        # w = 1/(1+z) is known two orders below 1+z; the w term cancels in
-        # g = -2log(1-w) - 2w, so g keeps n + 1 orders past its lead z^-2,
-        # which is what g^(-1/2) needs
-        one_plus_z = GradedSeries(DESCENDING, {1: ONE, 0: ONE}, prec=-n - 1)
-        w = one_plus_z.reciprocal()
-        g = -2 * (1 - w).log() - 2 * w
-        return g.pow(Rational(-1, 2))
-
-    return _cached_series("f", order, build)
+    # w = 1/(1+z) is known two orders below 1+z; the w term cancels in
+    # g = -2log(1-w) - 2w, so g keeps order + 1 orders past its lead z^-2,
+    # which is what g^(-1/2) needs
+    one_plus_z = GradedSeries(DESCENDING, {1: ONE, 0: ONE}, prec=-order - 1)
+    w = one_plus_z.reciprocal()
+    g = -2 * (1 - w).log() - 2 * w
+    return g.pow(Rational(-1, 2))
 
 
+@_cached
 def series_theta(order: int) -> GradedSeries:
     """theta = (3 sum b_{2k+1}/(2k+3) z^{-2k-3})^(-1/3); starts z - z^{-1}/180."""
-
-    def build(n):
-        # the -1/3 power keeps n + 1 orders past the inner lead z^-3; every
-        # odd exponent -e of that window is filled, e = 2k + 3
-        bs = coeffs_b(n + 1)
-        inner = GradedSeries(
-            DESCENDING, {-e: 3 * bs[e - 2] / e for e in range(3, n + 4, 2)}, prec=-n - 4
-        )
-        return inner.pow(Rational(-1, 3))
-
-    return _cached_series("theta", order, build)
+    # the -1/3 power keeps order + 1 orders past the inner lead z^-3; every
+    # odd exponent -e of that window is filled, e = 2k + 3
+    bs = coeffs_b(order + 1)
+    inner = GradedSeries(
+        DESCENDING, {-e: 3 * bs[e - 2] / e for e in range(3, order + 4, 2)}, prec=-order - 4
+    )
+    return inner.pow(Rational(-1, 3))
 
 
 def _phi(order: int) -> GradedSeries:
@@ -221,17 +209,14 @@ def _phi(order: int) -> GradedSeries:
     return ((2 * t).exp() - 1).shift(-1) / 2 - 1
 
 
+@_cached
 def series_h(order: int) -> GradedSeries:
     """h = (3z^{-2} coth(z^{-1}) - 3z^{-1})^(-1/3); starts z + z^{-1}/45."""
-
-    def build(n):
-        # u = 3t^2 coth t - 3t leads at t^3 and keeps the window of t, so
-        # u^(-1/3) keeps n + 1 orders from its lead t^-1
-        t = GradedSeries.identity(ASCENDING, prec=n + 4)
-        u = 3 * t * t * coth(t) - 3 * t
-        return u.pow(Rational(-1, 3)).invert_variable()
-
-    return _cached_series("h", order, build)
+    # u = 3t^2 coth t - 3t leads at t^3 and keeps the window of t, so
+    # u^(-1/3) keeps order + 1 orders from its lead t^-1
+    t = GradedSeries.identity(ASCENDING, prec=order + 4)
+    u = 3 * t * t * coth(t) - 3 * t
+    return u.pow(Rational(-1, 3)).invert_variable()
 
 
 def series_y(order: int) -> GradedSeries:
@@ -239,36 +224,26 @@ def series_y(order: int) -> GradedSeries:
     return _y_inverse(order).reciprocal()
 
 
+@_cached
 def _y_inverse(order: int) -> GradedSeries:
-    def build(n):
-        return _phi(n).revert().invert_variable()
-
-    return _cached_series("y-inverse", order, build)
+    return _phi(order).revert().invert_variable()
 
 
+@_cached
 def series_f_plus_1(order: int) -> GradedSeries:
     """1/(z e^{1/z} sinh(1/z) - 1); starts z - 2/3 + z^{-1}/9."""
-
-    def build(n):
-        return _phi(n).invert_variable().reciprocal()
-
-    return _cached_series("f-plus-1", order, build)
+    return _phi(order).invert_variable().reciprocal()
 
 
+@_cached
 def series_f_plus_2(order: int) -> GradedSeries:
-    def build(n):
-        return series_h(n).revert()
-
-    return _cached_series("f-plus-2", order, build)
+    return series_h(order).revert()
 
 
+@_cached
 def series_f_plus(order: int) -> GradedSeries:
     """f_+ = f_+1 composed with f_+2; starts z - 2/3 + (4/45)z^{-1}."""
-
-    def build(n):
-        return series_f_plus_1(n).compose(series_f_plus_2(n))
-
-    return _cached_series("f-plus", order, build)
+    return series_f_plus_1(order).compose(series_f_plus_2(order))
 
 
 def series_F(order: int) -> GradedSeries:
@@ -282,16 +257,13 @@ def series_F(order: int) -> GradedSeries:
     return GradedSeries(ASCENDING, coeffs, prec=order + 2)
 
 
+@_cached
 def series_H(order: int) -> GradedSeries:
     """H = (3F^2 coth F - 3F)^(-1/3), ascending Laurent with lead x^{-1}."""
-
-    def build(n):
-        # as for h: u leads at x^3 and keeps the window of F, x^(n+4)
-        F = series_F(n + 2)
-        u = 3 * F * F * coth(F) - 3 * F
-        return u.pow(Rational(-1, 3))
-
-    return _cached_series("H", order, build)
+    # as for h: u leads at x^3 and keeps the window of F, x^(order+4)
+    F = series_F(order + 2)
+    u = 3 * F * F * coth(F) - 3 * F
+    return u.pow(Rational(-1, 3))
 
 
 def series_E(order: int, H=None) -> GradedSeries:

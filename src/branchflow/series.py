@@ -153,6 +153,7 @@ class GradedSeries:
         return not self._row._num
 
     def known(self, exponent) -> bool:
+        check_int(exponent, "an exponent")
         wp = self.wprec
         return wp is None or self._w(exponent) < wp
 
@@ -168,6 +169,7 @@ class GradedSeries:
         return sorted(self._row._num, key=self._w)
 
     def truncate(self, prec):
+        check_int(prec, "prec")
         return self._truncate_w(self._w(prec))
 
     def _truncate_w(self, wp):
@@ -281,7 +283,7 @@ class GradedSeries:
 
     def shift(self, delta):
         """Multiply by z**delta (exact)."""
-        delta = int(delta)
+        check_int(delta, "delta")
         if delta == 0:
             return self
         row = Row._of({e + delta: n for e, n in self._row._num.items()}, self._row._den)

@@ -1,5 +1,7 @@
 """Named series, derivation flows, and the flow-based verifiers."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -110,7 +112,7 @@ def test_E_tail_is_the_c_family():
 
 # --- window honesty of the builders ---------------------------------------------
 
-# cache key -> cached builder
+# test id -> cached builder
 CACHED_BUILDERS = {
     "f": series_f,
     "theta": series_theta,
@@ -128,8 +130,9 @@ def raw_build(name, order, monkeypatch):
     monkeypatch.setattr(flows, "_series_cache", {})
     if name == "E":
         return series_E(order)
-    CACHED_BUILDERS[name](order)
-    return flows._series_cache[name][1]
+    builder = CACHED_BUILDERS[name]
+    builder(order)
+    return flows._series_cache[builder.__name__][1]
 
 
 @pytest.mark.parametrize("name", [*CACHED_BUILDERS, "E"])
@@ -229,29 +232,17 @@ def test_E_squares_to_its_defining_radical():
 # --- flow mechanics ---------------------------------------------------------------
 
 
-def test_generator_rejects_order_raising_law():
-    fc = FlowCoeffs((ONE,), law=lambda k: 1 + k)
-    with pytest.raises(SeriesError):
-        fc.generator()
-
-
-@pytest.mark.parametrize("values", [(), (ONE,)], ids=["no-values", "one-value"])
-def test_generator_rejects_order_raising_first_exponent(values):
-    # the first exponent is p(1) with or without values: with none it is the prec
-    fc = FlowCoeffs(values, law=lambda k: 2 - k)
-    with pytest.raises(SeriesError, match="exponent law must not raise the order"):
-        fc.generator()
-
-
 def test_unknown_law_name_is_refused():
-    with pytest.raises(SeriesError, match="unknown exponent law 'odd'"):
-        flow_solve(series_f(4), law="odd")
-
-
-def test_generator_rejects_non_decreasing_law():
-    fc = FlowCoeffs((ONE, ONE), law=lambda k: 0)
-    with pytest.raises(SeriesError):
-        fc.generator()
+    # only the two named laws exist: a callable, however it would place the
+    # g_k, is an unknown law too, with no values or with some
+    laws = ["odd", lambda k: 1 - k, lambda k: 2 - k, lambda k: 0, ["standard"]]
+    for law in laws:
+        refused = re.escape(f"unknown exponent law {law!r}")
+        for values in ((), (ONE,), (ONE, ONE)):
+            with pytest.raises(SeriesError, match=refused):
+                FlowCoeffs(values, law=law).generator()
+        with pytest.raises(SeriesError, match=refused):
+            flow_solve(series_f(4), law=law)
 
 
 def test_flow_coeffs_indexing_and_sign():
@@ -322,26 +313,25 @@ def _flow_by_products(generator, target):
     return acc
 
 
+# the step s of each law, g_k at z^(1 - s k), written out apart from flows.py
+STEPS = {LAW_STANDARD: 1, LAW_EVEN: 2}
+
+
 def _solve_by_reapplying(target, count, law, sign):
     """g_k read off the flow of the generator g_1 .. g_{k-1} (g_k set to 0)."""
-    p = FlowCoeffs((), law).exponent
     vals = []
     for k in range(1, count + 1):
-        z = GradedSeries.identity(DESCENDING, prec=p(k) - 1)
+        e = 1 - STEPS[law] * k
+        z = GradedSeries.identity(DESCENDING, prec=e - 1)
         generator = FlowCoeffs(tuple(vals) + (ZERO,), law, sign).generator()
         known = _flow_by_products(generator, z)
-        vals.append(sign * (target.coefficient(p(k)) - known.coefficient(p(k))))
+        vals.append(sign * (target.coefficient(e) - known.coefficient(e)))
     return tuple(vals)
-
-
-def _law_by_threes(k):
-    return 1 - 3 * k
 
 
 @st.composite
 def flow_problems(draw):
-    law = draw(st.sampled_from([LAW_STANDARD, LAW_EVEN, _law_by_threes]))
-    p = FlowCoeffs((), law).exponent
+    law = draw(st.sampled_from(list(STEPS)))
     depth = draw(st.integers(min_value=0, max_value=8))
     tail = draw(
         st.lists(
@@ -354,7 +344,7 @@ def flow_problems(draw):
         DESCENDING, {1: 1, **{-i: c for i, c in enumerate(tail)}}, prec=-depth
     )
     fits = 0
-    while p(fits + 1) > target.prec:
+    while 1 - STEPS[law] * (fits + 1) > target.prec:
         fits += 1
     count = draw(st.none() | st.integers(min_value=0, max_value=fits))
     return target, count, fits if count is None else count, law, draw(st.sampled_from([1, -1]))
@@ -376,7 +366,7 @@ small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 def flow_images(draw):
     """A generator (zero runs and g_1 = 0 included) and a target leading at
     z^2 .. z^-3, exact or truncated; exact constants are left out."""
-    law = draw(st.sampled_from([LAW_STANDARD, LAW_EVEN, _law_by_threes]))
+    law = draw(st.sampled_from(list(STEPS)))
     values = draw(st.lists(small_rationals | st.just(0), max_size=6))
     coeffs = FlowCoeffs(tuple(values), law, draw(st.sampled_from([1, -1])))
     lead = draw(st.integers(min_value=-3, max_value=2))
@@ -407,24 +397,41 @@ def test_flow_of_exact_constant_is_that_constant():
 
 
 def test_flow_solve_refusals_in_order():
-    f = series_f(6)
+    f = series_f(6)  # known from z down to z^-5
     with pytest.raises(SeriesError, match="descending"):
-        flow_solve(GradedSeries.identity(ASCENDING, prec=5), count=2)
+        flow_solve(GradedSeries.identity(ASCENDING, prec=5), count=2, law="odd")
     for lead in ({1: 2, 0: 1}, {2: 1, 1: 1}, {0: 1}):
         with pytest.raises(LeadingTermError):
-            flow_solve(GradedSeries(DESCENDING, lead, prec=-4), count=2)
+            flow_solve(GradedSeries(DESCENDING, lead, prec=-4), count=2, law="odd")
     with pytest.raises(TruncationError, match="count must be given"):
         flow_solve(GradedSeries(DESCENDING, {1: 1, -1: 3}))
-    # the law is checked before each coefficient is read, one coefficient at
-    # a time: whichever of a bad exponent and an exponent outside the target's
-    # window comes first is refused
-    for law in (lambda k: 1, lambda k: [0, 0, -20][k - 1], lambda k: [0, -1, -1][k - 1]):
-        with pytest.raises(SeriesError, match="lower the order") as bad_law:
-            flow_solve(f, count=3, law=law)
-        assert bad_law.type is SeriesError
-    with pytest.raises(TruncationError):
-        flow_solve(f, count=3, law=lambda k: [0, -20, -20][k - 1])
-    assert flow_solve(f, count=0, law=lambda k: 1).values == ()
+    # a count past the target's window is refused when its first unknown
+    # coefficient is read
+    for law, fits in ((LAW_STANDARD, 6), (LAW_EVEN, 3)):
+        assert len(flow_solve(f, count=fits, law=law)) == fits
+        with pytest.raises(TruncationError, match="beyond the known window"):
+            flow_solve(f, count=fits + 1, law=law)
+    assert flow_solve(f, count=0).values == ()
+
+
+def test_flow_solve_refuses_a_bad_count():
+    f = series_f(4)
+    for count in (-1, -3):
+        with pytest.raises(ValueError, match="must not be negative"):
+            flow_solve(f, count=count)
+    for count in (True, 1.0, "2"):
+        with pytest.raises(TypeError, match="count must be an int"):
+            flow_solve(f, count=count)
+
+
+def test_default_count_takes_every_exponent_the_window_knows():
+    for law, step in STEPS.items():
+        for prec in range(-1, -31, -1):
+            count = 0
+            while 1 - step * (count + 1) > prec:
+                count += 1
+            target = GradedSeries(DESCENDING, {1: 1, prec + 1: 1}, prec=prec)
+            assert len(flow_solve(target, law=law)) == count, (law, prec)
 
 
 def test_even_law_solves_theta():

@@ -106,6 +106,16 @@ def test_rejects_non_int_exponents_and_prec(coeffs, prec):
         asc(coeffs, prec=prec)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.5, 0.5, True, "1"])
+def test_series_methods_reject_non_int_exponents(bad):
+    # int() would shift by 1 for 1.5; 2.5 would become a float prec; a float
+    # exponent would read as an unknown zero coefficient
+    s = asc({0: 1, 1: rational(1, 2), 2: 3}, prec=4)
+    for method in (s.shift, s.truncate, s.coefficient, s.known):
+        with pytest.raises(TypeError, match="must be an int"):
+            method(bad)
+
+
 def test_coefficients_are_a_read_only_view():
     s = asc({0: 1, 1: rational(1, 2)}, prec=4)
     with pytest.raises(TypeError):

@@ -232,16 +232,39 @@ def test_E_squares_to_its_defining_radical():
 # --- flow mechanics ---------------------------------------------------------------
 
 
+# only the two named laws exist: a callable, however it would place the g_k,
+# is refused as an unknown law
+def _refused_as_unknown(law):
+    return pytest.raises(SeriesError, match=re.escape(f"unknown exponent law {law!r}"))
+
+
+def test_generator_rejects_order_raising_law():
+    law = lambda k: 1 + k
+    with _refused_as_unknown(law):
+        FlowCoeffs((ONE,), law=law).generator()
+
+
+@pytest.mark.parametrize("values", [(), (ONE,)], ids=["no-values", "one-value"])
+def test_generator_rejects_order_raising_first_exponent(values):
+    # refused with or without values: the law is looked up before any g_k is placed
+    law = lambda k: 2 - k
+    with _refused_as_unknown(law):
+        FlowCoeffs(values, law=law).generator()
+
+
+def test_generator_rejects_non_decreasing_law():
+    law = lambda k: 0
+    with _refused_as_unknown(law):
+        FlowCoeffs((ONE, ONE), law=law).generator()
+
+
 def test_unknown_law_name_is_refused():
-    # only the two named laws exist: a callable, however it would place the
-    # g_k, is an unknown law too, with no values or with some
-    laws = ["odd", lambda k: 1 - k, lambda k: 2 - k, lambda k: 0, ["standard"]]
+    laws = ["odd", ["standard"], lambda k: 1 - k, lambda k: 2 - k, lambda k: 0]
     for law in laws:
-        refused = re.escape(f"unknown exponent law {law!r}")
         for values in ((), (ONE,), (ONE, ONE)):
-            with pytest.raises(SeriesError, match=refused):
+            with _refused_as_unknown(law):
                 FlowCoeffs(values, law=law).generator()
-        with pytest.raises(SeriesError, match=refused):
+        with _refused_as_unknown(law):
             flow_solve(series_f(4), law=law)
 
 

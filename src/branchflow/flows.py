@@ -3,10 +3,11 @@
 A coefficient list with a named exponent law, ``LAW_STANDARD`` (step s = 1)
 or ``LAW_EVEN`` (s = 2), defines a derivation D whose exponential acts on
 descending Laurent series.  Each application of D strictly lowers the
-leading exponent, so the terms D^j target / j! of a flow fill one depth at a
-time in one engine, which :func:`flow_apply` runs with the generator given
-and :func:`flow_solve` with each generator coefficient solved from a target
-z + lower order.
+leading exponent, so the flow sum_j D^j target / j! stops at any depth.
+:func:`flow_apply` forms each term T_j = G T_{j-1}' / j as one product of
+whole rows cut at the window edge.  :func:`flow_solve` solves each generator
+coefficient from a target z + lower order while the terms of the flow of z
+fill depth by depth.
 """
 
 from __future__ import annotations
@@ -70,25 +71,30 @@ class FlowCoeffs(Record):
         return GradedSeries(DESCENDING, coeffs, prec=1 - s * (len(self.values) + 1))
 
 
-def _flow_fill(g: Row, t0: Row, top: int, solve=()) -> Row:
-    """Sum T_0 = t0, T_j = G T_{j-1}' / j at each depth w = -exponent below top.
+def _flow_fill(g: Row, top: int, solve: dict) -> None:
+    """Set G at the exponents of ``solve`` so the flow of z sums to ``solve`` there.
 
-    T_j at depth w reads T_{j-1} only at smaller depths, so all terms fill
-    together, depth by depth (relaxed evaluation, van der Hoeven 2002).  With
-    ``solve`` (exponent -> coefficient) and T0 = z, G is set at those exponents
-    so the terms sum to the coefficient; T_1 = G alone reads it there.  G, T_0,
-    each T_j' and the sum are rows keyed by exponent, so a term's convolution
-    runs in ints and builds one Rational; the sum may hold zeros."""
-    e0 = max(t0._num)
-    derivs = [Row._of({e - 1: e * n for e, n in t0._num.items()}, t0._den)]
-    total = Row._of({}, 1)
-    for e in range(e0, -top, -1):
-        derivs.append(Row._of({}, 1))  # T_{e0-e+1}', which starts at z^(e-2)
-        s = Rational(t0._num.get(e, 0), t0._den)
-        for j in range(1, e0 - e + 1):
+    The terms T_0 = z, T_j = G T_{j-1}' / j fill at each depth w = -exponent
+    below top.  T_j at depth w reads T_{j-1} only at smaller depths, so all
+    terms fill together, depth by depth (relaxed evaluation, van der Hoeven
+    2002), and T_1 = G alone reads G at the depth being solved.  G and each
+    T_j' are rows keyed by exponent, so a cell's convolution runs in ints,
+    over only the G terms that meet the row below, and builds one Rational."""
+    derivs = [Row._of({0: 1}, 1)]  # T_0' = 1
+    g_pairs = []  # G's (exponent, numerator) pairs, solved from z^0 down
+    for e in range(1, -top, -1):
+        derivs.append(Row._of({}, 1))  # T_{2-e}', which starts at z^(e-2)
+        s = ZERO  # the terms from T_2 on; T_0 = z adds nothing at a solved exponent
+        for j in range(2, 2 - e):
             below = derivs[j - 1]
-            bn = below._num
-            t = sum(ga * bn.get(e - a, 0) for a, ga in g._num.items())
+            get = below._num.get
+            t = 0
+            for a, ga in g_pairs:
+                # T_{j-1}' starts at z^(-j) or deeper: the z^0 term of T_1 = G
+                # differentiates to zero
+                if a < e + j:
+                    break
+                t += ga * get(e - a, 0)
             if t:
                 t = Rational(t, g._den * below._den * j)
                 s += t
@@ -96,16 +102,17 @@ def _flow_fill(g: Row, t0: Row, top: int, solve=()) -> Row:
         if e in solve:
             ge = solve[e] - s
             g._put(e, ge)
+            g_pairs = list(g._num.items())
             derivs[1]._put(e - 1, e * ge)
-            s = solve[e]
-        total._put(e, s)
-    return total
 
 
 def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:
     """exp(D) target, known on the window of target + G target' by the series
     window rules: every later term leads deeper than G target'.  A target with
-    no known term, or an exact constant, is its own image."""
+    no known term, or an exact constant, is its own image.
+
+    Each term T_j = G T_{j-1}' / j is one int convolution of whole rows, cut at
+    that window's edge, and the terms are summed once."""
     if target.direction != DESCENDING:
         raise SeriesError("flows act on descending series")
     gen = coeffs.generator()
@@ -116,8 +123,27 @@ def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:
     top = gen.wprec + (d.wprec if d.is_zero() else d.wlead)
     if target.prec is not None:
         top = min(top, target.wprec)
-    total = _flow_fill(gen._row, target._row, top)
-    return GradedSeries._cut(DESCENDING, Row._canon(total._num, total._den), top)
+    # G in window order, so each walk stops at the edge z^(-top)
+    g, gden = sorted(gen._row._num.items(), reverse=True), gen._row._den
+    term, terms, j = target._row, [(ONE, target._row)], 1
+    while True:
+        out = {}
+        get = out.get
+        for eb, nb in term._num.items():
+            if eb:  # T' = sum e n z^(e-1)
+                nb *= eb
+                eb -= 1
+                edge = -top - eb
+                for ea, ga in g:
+                    if ea <= edge:
+                        break
+                    out[ea + eb] = get(ea + eb, 0) + ga * nb
+        term = Row._canon(out, gden * term._den * j)
+        if not term._num:
+            break
+        terms.append((ONE, term))
+        j += 1
+    return GradedSeries._cut(DESCENDING, Row._combine(terms), top)
 
 
 def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> FlowCoeffs:
@@ -141,7 +167,7 @@ def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> Fl
             raise ValueError(f"coefficient count must not be negative, got {count}")
     wanted = {1 - s * k: target.coefficient(1 - s * k) for k in range(1, count + 1)}
     g = Row._of({}, 1)
-    _flow_fill(g, GradedSeries.identity(DESCENDING)._row, s * count, solve=wanted)
+    _flow_fill(g, s * count, wanted)
     return FlowCoeffs(tuple(sign * g.terms[e] for e in wanted), law, sign)
 
 

@@ -264,11 +264,15 @@ class GradedSeries:
         wla = self.wlead if ra._num else wpa
         wlb = other.wlead if rb._num else wpb
         wp = min((e + lead for e, lead in ((wpa, wlb), (wpb, wla)) if e is not None), default=None)
+        # the second row in window order: each walk stops at the window edge
         sign, out = (1 if self.direction == ASCENDING else -1), {}
+        second = sorted((sign * eb, eb, cb) for eb, cb in rb._num.items())
         for ea, ca in ra._num.items():
-            for eb, cb in rb._num.items():
-                if wp is None or sign * (ea + eb) < wp:
-                    out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+            edge = math.inf if wp is None else wp - sign * ea
+            for wb, eb, cb in second:
+                if wb >= edge:
+                    break
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
         return GradedSeries._cut(self.direction, Row._canon(out, ra._den * rb._den), wp)
 
     __rmul__ = __mul__
@@ -577,12 +581,34 @@ def _first_order(s, depth, p, b, q, head=ONE, source=False):
 
 
 def coth(g):
-    """``(e + 1)/(e - 1)`` with ``e = e^(2g)``, known to the relative depth of ``g``."""
+    """``cosh g / sinh g``, known to the relative depth of ``g``.
+
+    For an odd ``g`` (every exponent odd), e^(-g) is e^g at -z, so cosh g and
+    sinh g are the even and odd parts of one ``e = e^g``; any other ``g`` takes
+    ``(e + 1)/(e - 1)`` with ``e = e^(2g)``.
+    """
+    if _is_odd(g):
+        even, odd = _parity_parts(g.exp())
+        return even * odd.reciprocal()
     e = (2 * g).exp()
     return (e + 1) * (e - 1).reciprocal()
 
 
 def csch(g):
-    """``2/(e - 1/e)`` with ``e = e^g``, known to the relative depth of ``g``."""
+    """``1/sinh g``, known to the relative depth of ``g``: the reciprocal of the
+    odd part of ``e^g`` for an odd ``g``, else ``2/(e - 1/e)`` with ``e = e^g``."""
+    if _is_odd(g):
+        return _parity_parts(g.exp())[1].reciprocal()
     e = g.exp()
     return 2 * (e - e.reciprocal()).reciprocal()
+
+
+def _is_odd(g):
+    return all(e % 2 for e in g._row._num)
+
+
+def _parity_parts(x):
+    """The even and odd parts of ``x``, each on the window of ``x``."""
+    num, den = x._row._num, x._row._den
+    parts = ({e: n for e, n in num.items() if e % 2 == r} for r in (0, 1))
+    return tuple(GradedSeries._cut(x.direction, Row._canon(p, den), x.wprec) for p in parts)

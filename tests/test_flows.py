@@ -1,6 +1,7 @@
 """Named series, derivation flows, and the flow-based verifiers."""
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -410,6 +411,61 @@ def test_flow_apply_matches_series_products(problem):
     coeffs, target = problem
     # == compares the window too
     assert flow_apply(coeffs, target) == _flow_by_products(coeffs.generator(), target)
+
+
+def _flow_by_fractions(coeffs, target):
+    """``(coeffs, prec)`` of exp(D) target over plain Fraction dicts, apart from
+    the series and row layers: T_j = G T_{j-1}' / j term by term, each cut at
+    the window of target + G target' (every later term leads deeper)."""
+    step = STEPS[coeffs.law]
+    gen = {1 - step * k: coeffs.sign * Fraction(g) for k, g in enumerate(coeffs.values, 1)}
+    gen_edge = step * (len(coeffs.values) + 1) - 1  # depth of G's first unknown term
+    t = {e: Fraction(c) for e, c in target.coeffs.items()}
+    deriv = {e - 1: e * c for e, c in t.items() if e}
+    if not t or (target.prec is None and not deriv):
+        return t, target.prec
+    # depths: G's edge past the lead of target' (past its edge when it has no
+    # term, -prec + 1), and the target's own edge
+    deriv_lead = -max(deriv) if deriv else -target.prec + 1
+    top = gen_edge + deriv_lead
+    if target.prec is not None:
+        top = min(top, -target.prec)
+    total = {e: c for e, c in t.items() if -e < top}
+    term, j = t, 1
+    while term:
+        deriv = {e - 1: e * c for e, c in term.items() if e}
+        image = {}
+        for a, ga in gen.items():
+            for b, cb in deriv.items():
+                if -(a + b) < top:
+                    image[a + b] = image.get(a + b, 0) + ga * cb / j
+        term = {e: c for e, c in image.items() if c}
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+        j += 1
+    return {e: c for e, c in total.items() if c}, -top
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_images())
+def test_flow_apply_matches_fraction_oracle(problem):
+    coeffs, target = problem
+    got = flow_apply(coeffs, target)
+    assert (dict(got.coeffs), got.prec) == _flow_by_fractions(coeffs, target)
+
+
+def test_flow_apply_matches_fraction_oracle_on_named_flows():
+    # deep, dense generators with large denominators, both laws and signs
+    f, theta = series_f(16), series_theta(16)
+    z = GradedSeries.identity(DESCENDING)
+    for coeffs, target in (
+        (flow_solve(f), z),
+        (flow_solve(f, sign=-1), f),
+        (flow_solve(theta, law=LAW_EVEN, sign=-1), z),
+        (flow_solve(theta, law=LAW_EVEN), theta),
+    ):
+        got = flow_apply(coeffs, target)
+        assert (dict(got.coeffs), got.prec) == _flow_by_fractions(coeffs, target)
 
 
 def test_flow_of_exact_constant_is_that_constant():

@@ -640,6 +640,29 @@ def test_mul_and_reciprocal_match_fraction_reference(case):
         assert (got.coeffs, got.prec) == fraction_reciprocal(x)
 
 
+def test_descending_mul_of_exact_and_truncated_matches_fraction_reference():
+    # rows whose insertion order is not window order, terms on both sides of
+    # the product's window edge, the exact factor on either side
+    exact_rows = (
+        {-3: 1, 2: 2, 0: rational(5, 3), -1: -3},
+        {0: 7},
+        {4: rational(-2, 9), -6: 1, 1: 3},
+    )
+    cut_rows = (
+        ({1: 1, -2: 4, 0: rational(7, 2)}, -4),
+        ({-1: rational(1, 6), 3: -2, -5: 5, 2: 1}, -6),
+        ({}, -2),
+        ({0: 3}, -1),
+    )
+    for ex in exact_rows:
+        x = desc(ex)
+        for coeffs, prec in cut_rows:
+            y = desc(coeffs, prec=prec)
+            for a, b in ((x, y), (y, x)):
+                got = a * b
+                assert (got.coeffs, got.prec) == fraction_mul(a, b), (a, b)
+
+
 # --- integer powers against binary powering ----------------------------------------
 
 

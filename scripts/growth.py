@@ -6,6 +6,7 @@
     python3 scripts/growth.py vir_scan --orders 6 9 12 15
     python3 scripts/growth.py vir_grid --orders 12 13 14 15
     python3 scripts/growth.py heis_grid --orders 12 13 14 15
+    python3 scripts/growth.py grad_grid --orders 12 13 14 15
     python3 scripts/growth.py recurrence --orders 100 200 403
     python3 scripts/growth.py stirling --orders 50 100 200
 
@@ -25,11 +26,12 @@ descending outer series.  ``recurrence`` grows the branch table ``b`` from empty
 b_n, as ``coeffs b --order n`` does; ``stirling`` and ``bernoulli`` build the
 rows of ``coeffs stirling --order n`` and ``coeffs bernoulli --order n`` from
 empty tables.  For the operator ops the order is the weight bound of the
-q-polynomial corpus: ``vir_scan`` times one commutator cell, ``vir_grid`` and
-``heis_grid`` the CLI's whole -5..5 Virasoro and Heisenberg scans (their
-corpus adds a seeded sample up to weight 12, so fit them from 12 up), and
-``factorization`` the factorization check.  ``--src`` points at the ``src``
-directory of another checkout, so one harness times both sides of a change.
+q-polynomial corpus: ``vir_scan`` times one commutator cell, ``vir_grid``,
+``heis_grid`` and ``grad_grid`` the CLI's whole -5..5 Virasoro, Heisenberg and
+grading scans (their corpus adds a seeded sample up to weight 12, so fit them
+from 12 up), and ``factorization`` the factorization check.  ``--src`` points
+at the ``src`` directory of another checkout, so one harness times both sides
+of a change.
 Stdlib only; Linux, for ``/proc``.
 """
 
@@ -119,6 +121,12 @@ OPS = {
         "from argparse import Namespace\nfrom branchflow.cli import IDENTITIES\n"
         "x = Namespace(weight=n, seed=0, range=(-5, 5))",
         'IDENTITIES["heisenberg-commutators"](x)',
+    ),
+    "grad_grid": (
+        "verify grading --weight n --range=-5..5: all 11 cells, one corpus",
+        "from argparse import Namespace\nfrom branchflow.cli import IDENTITIES\n"
+        "x = Namespace(weight=n, seed=0, range=(-5, 5))",
+        'IDENTITIES["grading"](x)',
     ),
     "factorization": (
         "verify_factorization(n), l and b built inside",

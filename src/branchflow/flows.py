@@ -71,19 +71,21 @@ class FlowCoeffs(Record):
         return GradedSeries(DESCENDING, coeffs, prec=1 - s * (len(self.values) + 1))
 
 
-def _flow_fill(g: Row, top: int, solve: dict) -> None:
+def _flow_fill(g: Row, top: int, solve: dict, step: int) -> None:
     """Set G at the exponents of ``solve`` so the flow of z sums to ``solve`` there.
 
     The terms T_0 = z, T_j = G T_{j-1}' / j fill at each depth w = -exponent
-    below top.  T_j at depth w reads T_{j-1} only at smaller depths, so all
-    terms fill together, depth by depth (relaxed evaluation, van der Hoeven
-    2002), and T_1 = G alone reads G at the depth being solved.  G and each
-    T_j' are rows keyed by exponent, so a cell's convolution runs in ints,
-    over only the G terms that meet the row below, and builds one Rational."""
-    derivs = [Row._of({0: 1}, 1)]  # T_0' = 1
+    below top, stepping by the law's ``step``: when G sits at exponents 1 - 2k,
+    so does every T_j, and the exponents between are zero.  T_j at depth w reads
+    T_{j-1} only at smaller depths, so all terms fill together, depth by depth
+    (relaxed evaluation, van der Hoeven 2002), and T_1 = G alone reads G at the
+    depth being solved.  G and each T_j' are rows keyed by exponent, so a cell's
+    convolution runs in ints, over only the G terms that meet the row below, and
+    builds one Rational."""
+    # T_0' = 1, then T_1' .. T_top'; T_j' starts at z^(-j) or deeper
+    derivs = [Row._of({0: 1}, 1)] + [Row._of({}, 1) for _ in range(top)]
     g_pairs = []  # G's (exponent, numerator) pairs, solved from z^0 down
-    for e in range(1, -top, -1):
-        derivs.append(Row._of({}, 1))  # T_{2-e}', which starts at z^(e-2)
+    for e in range(1, -top, -step):
         s = ZERO  # the terms from T_2 on; T_0 = z adds nothing at a solved exponent
         for j in range(2, 2 - e):
             below = derivs[j - 1]
@@ -167,7 +169,7 @@ def flow_solve(target: GradedSeries, count=None, law=LAW_STANDARD, sign=1) -> Fl
             raise ValueError(f"coefficient count must not be negative, got {count}")
     wanted = {1 - s * k: target.coefficient(1 - s * k) for k in range(1, count + 1)}
     g = Row._of({}, 1)
-    _flow_fill(g, s * count, wanted)
+    _flow_fill(g, s * count, wanted, s)
     return FlowCoeffs(tuple(sign * g.terms[e] for e in wanted), law, sign)
 
 

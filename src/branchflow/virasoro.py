@@ -18,11 +18,16 @@ each output monomial is listed once: pairs a + b = m and i + j = -m are taken
 unordered, with their multiplicities in the weight.  An exponential sums its
 Taylor terms as int numerators and canonicalises once, at the end.
 
-A checked identity lists each side once, as (coefficient, operator or None,
-row) terms.  Its residual, sum lhs - sum rhs, goes into one dict of int
-numerators over one denominator and is tested for zero; the two sides are built
-only when it is not.  The only memo of images that outlives one polynomial lives
-in an operator op_sum returns, and dies with it after one factorization check.
+A checked identity is compiled once per scan into an integer plan: its terms
+(c, operator or None, row name) become (int factor, operator image or None, row
+name) over one positive scale, the lcm of the c op denominators.  For each
+polynomial p a scan builds its named rows p, L_k p and alpha_j p once and puts
+them over one denominator D_p.  The residual sum lhs - sum rhs, times the scale
+and D_p, is then one int accumulation into a dict, tested for zero; only when
+it is not zero are the lhs terms of the same plan summed again, to read both
+sides at the first differing term.  The only memo of images that outlives one
+polynomial lives in an operator op_sum returns, and dies with it after one
+factorization check.
 
 A commutation scan runs in two processes when it pays and it can: where it asks
 at least ``_SPLIT_PAIRS`` (cell, polynomial) pairs, ``os.fork`` exists and
@@ -156,17 +161,17 @@ class LinearOp(Record):
         self._init(name, image, den)
 
     def __call__(self, p: QPoly) -> QPoly:
-        return QPoly._canon(_add({}, 1, self, p._num), p._den * self.den)
+        return QPoly._canon(_add({}, 1, self.image, p._num), p._den * self.den)
 
 
-def _add(out: dict, f: int, op, nums: dict) -> dict:
-    """``out`` plus f op(nums) on a dict of int numerators; op None is the identity."""
+def _add(out: dict, f: int, image, nums: dict) -> dict:
+    """``out`` plus f op(nums) on a dict of int numerators, for the operator op
+    whose ``image`` is given; an image None is the identity."""
     get = out.get
-    if op is None:
+    if image is None:
         for key, num in nums.items():
             out[key] = get(key, 0) + f * num
         return out
-    image = op.image
     for key, num in nums.items():
         fn = f * num
         for ikey, weight in image(key):
@@ -174,16 +179,55 @@ def _add(out: dict, f: int, op, nums: dict) -> dict:
     return out
 
 
-def _accumulate(lhs, rhs=()):
-    """sum c op(row) over the (coefficient, operator or None, row) terms of ``lhs``
-    minus that sum over ``rhs``: int numerators, zeros kept, over one denominator."""
-    sides = ((1, lhs), (-1, rhs))
-    dens = [c.denominator * (op.den if op else 1) * row._den for _, s in sides for c, op, row in s]
-    den, out, next_den = lcm(*dens), {}, iter(dens).__next__
-    for sign, side in sides:
-        for c, op, row in side:
-            _add(out, sign * c.numerator * (den // next_den()), op, row._num)
-    return out, den
+def _plan(lhs, rhs=()) -> tuple:
+    """The integer plan of sum lhs = sum rhs over (rational c, operator or None,
+    row name) terms: (terms, split, scale), where ``terms`` are (int factor,
+    image or None, row name) triples, lhs first and rhs negated, and ``scale``
+    is the lcm of the c op denominators.  Summed over rows put over one
+    denominator D, the terms give scale * D (sum lhs - sum rhs); the first
+    ``split`` alone give scale * D sum lhs.  Terms with c = 0 are dropped."""
+    left = [(1, t) for t in lhs if t[0]]
+    signed = left + [(-1, t) for t in rhs if t[0]]
+    dens = [c.denominator * (1 if op is None else op.den) for _, (c, op, _) in signed]
+    scale = lcm(*dens)
+    terms = [
+        (sign * c.numerator * (scale // d), None if op is None else op.image, name)
+        for (sign, (c, op, name)), d in zip(signed, dens)
+    ]
+    return terms, len(left), scale
+
+
+def _named_rows(ops, p: QPoly) -> tuple:
+    """({name: int numerators}, D_p): p, named "p", and op(p) for each operator,
+    named by the operator, over one denominator D_p, p's times the lcm of the
+    operators' denominators."""
+    k = lcm(*[op.den for op in ops])
+    rows = {"p": p._num if k == 1 else _add({}, k, None, p._num)}
+    for op in ops:
+        rows[op.name] = _add({}, k // op.den, op.image, p._num)
+    return rows, p._den * k
+
+
+def _residual(terms, rows: dict) -> dict:
+    """sum f op(rows[name]) over a plan's terms: int numerators, zeros kept."""
+    out: dict = {}
+    for f, image, name in terms:
+        _add(out, f, image, rows[name])
+    return out
+
+
+def _first_mismatch(plan, groups):
+    """(weight, lhs, rhs) at the first differing term, in canonical order, in
+    the first (rows, D) group on which ``plan`` has a non-zero residual, or
+    None.  There the lhs terms give the lhs, and lhs minus the residual the rhs."""
+    terms, split, scale = plan
+    for rows, den in groups:
+        out = _residual(terms, rows)
+        if any(out.values()):
+            key = min((k for k, v in out.items() if v), key=lambda k: (sum(k), k))
+            left, den = _residual(terms[:split], rows).get(key, 0), scale * den
+            return sum(key), str(Rational(left, den)), str(Rational(left - out[key], den))
+    return None
 
 
 def make_L(m: int) -> LinearOp:
@@ -249,39 +293,26 @@ def commutator(A: LinearOp, B: LinearOp, p: QPoly) -> QPoly:
     return A(B(p)) - B(A(p))
 
 
-def _first_mismatch(pairs):
-    """(weight, lhs, rhs) at the first differing term, in canonical order, of the
-    first (lhs, rhs) pair of term lists with a non-zero residual, or None."""
-    for lhs, rhs in pairs:
-        if not any(_accumulate(lhs, rhs)[0].values()):
-            continue
-        (nl, dl), (nr, dr) = _accumulate(lhs), _accumulate(rhs)
-        for key in sorted(nl.keys() | nr.keys(), key=lambda k: (sum(k), k)):
-            cl, cr = nl.get(key, 0), nr.get(key, 0)
-            if cl * dr != cr * dl:
-                return sum(key), str(Rational(cl, dl)), str(Rational(cr, dr))
-    return None
-
-
-def _scan(identity, t0, corpus, cells, sides, skip=(), mirror=lambda cell: None) -> list:
+def _scan(identity, t0, corpus, cells, plans, ops, mirror=lambda cell: None, parts=None) -> list:
     """One report per cell, in the order of ``cells``, from one walk of the corpus,
     which ``_walk_halves`` may share between two processes.
-    A cell FAILs at the first p where a (lhs, rhs) pair of term lists of
-    ``sides(p)(cell)`` has a non-zero residual; on p it is not asked if it failed,
-    or if ``mirror(cell)``, whose residual is minus its own, passed.  Images that
-    ``sides(p)`` memoises live for p alone; elapsed time runs from ``t0`` on, read
-    by the process that decided the cell, and each report's order is the corpus's
-    largest weight."""
+    A cell without a plan is SKIPPED.  A cell FAILs at the first p where its plan
+    has a non-zero residual on the rows ``_named_rows(ops, part)``, taken for p
+    or, given ``parts``, for each polynomial of ``parts(p)`` in turn; on p it is
+    not asked if it failed, or if ``mirror(cell)``, whose residual is minus its
+    own, passed.  Elapsed time runs from ``t0`` on, read by the process that
+    decided the cell, and each report's order is the corpus's largest weight."""
     order = max(p.max_weight() for p in corpus)
-    asked = [cell for cell in cells if cell not in skip]
+    asked = [cell for cell in cells if cell in plans]
 
     def walk(indices):
         found = {}
         for i in indices:
-            on_p, clean = sides(corpus[i]), set()
+            p, clean = corpus[i], set()
+            groups = [_named_rows(ops, part) for part in (parts(p) if parts else (p,))]
             for cell in asked:
                 if cell not in found and mirror(cell) not in clean:
-                    mismatch = _first_mismatch(on_p(cell))
+                    mismatch = _first_mismatch(plans[cell], groups)
                     if mismatch is None:
                         clean.add(cell)
                     else:
@@ -289,7 +320,7 @@ def _scan(identity, t0, corpus, cells, sides, skip=(), mirror=lambda cell: None)
         return found
 
     found = _walk_halves(walk, len(corpus), len(asked) * len(corpus))
-    reports = {cell: skipped(identity, order, t0) for cell in skip}
+    reports = {cell: skipped(identity, order, t0) for cell in cells if cell not in plans}
     for cell, (_, weight, lhs, rhs, at) in found.items():
         reports[cell] = failed(identity, order, t0, weight, lhs, rhs, at)
     return [reports[cell] if cell in reports else passed(identity, order, t0) for cell in cells]
@@ -299,9 +330,11 @@ def _scan(identity, t0, corpus, cells, sides, skip=(), mirror=lambda cell: None)
 # interpreter a split costs 3-5 ms of wall time (the fork, copy-on-write faults
 # in both processes, the reaping), and the second CPU takes about a third of the
 # walk off the wall clock, so a split pays from about 12 ms of walking.  A pair
-# costs 13-14 us in the -5..5 grids, 7 us in the grading scan, the cheapest, and
-# 30-55 us in a one-cell check.  Over 1155 grading pairs a split was slower in
-# 19 of 25 paired runs; over 2233, faster in 23 of 25.
+# costs 5-6 us of CPU in the -5..5 grids, 3.5-4 us in the grading scan, the
+# cheapest, and 7-24 us in a one-cell check.  In paired cold runs below 2000
+# pairs, a split won 5 to 32 of 50-75 runs of the Heisenberg scan, 6 of 50 of
+# grading at 1155 pairs, and about half of the Virasoro scan's; from 2000 to
+# 3300 pairs it won 44 to 64 of 75 in every scan.  So the constant stays.
 _SPLIT_PAIRS = 2000
 
 
@@ -381,11 +414,13 @@ def _partitions(total: int, cap: int):
 
 
 def corpus_monomials(weight_bound: int) -> list:
-    """1 and every q-monomial of weight up to the bound."""
-    out = [QPoly.one()]
-    for w in range(1, weight_bound + 1):
-        out.extend(QPoly.monomial(part) for part in _partitions(w, w))
-    return out
+    """1 and every q-monomial of weight up to the bound.  A partition, reversed,
+    is already a sorted key, so each row is built canonical."""
+    return [
+        QPoly._of({part[::-1]: 1}, 1)
+        for w in range(weight_bound + 1)
+        for part in _partitions(w, w)
+    ]
 
 
 _SAMPLE_WEIGHT = 12  # the random samples reach this weight
@@ -412,11 +447,11 @@ def default_corpus(weight_bound: int = 9, seed: int = 0) -> list:
 
 # --- commutation checks ---------------------------------------------------------
 #
-# Each scan takes its cells as index tuples and walks the corpus once.  Its terms
-# read the rows L_k p and alpha_j p, built once per polynomial; a composite such
-# as L_m L_n p goes straight into a residual and is never built.  The check_*
-# functions are one-cell scans.  Operators come from the module globals make_L
-# and make_alpha, looked up when a scan starts.
+# Each scan takes its cells as index tuples, compiles each cell's plan once and
+# walks the corpus once.  A plan reads the rows p, L_k p and alpha_j p, built once
+# per polynomial; a composite such as L_m L_n p goes straight into a residual and
+# is never built.  The check_* functions are one-cell scans.  Operators come from
+# the module globals make_L and make_alpha, looked up when a scan starts.
 
 
 def scan_virasoro_commutators(cells, corpus) -> list:
@@ -430,20 +465,16 @@ def scan_virasoro_commutators(cells, corpus) -> list:
     L = {k: make_L(k) for k in sorted({k for m, n in cells if m != n for k in (m, n, m + n)})}
     central = {(m, n): Rational(m ** 3 - m, 12) if m + n == 0 else ZERO for m, n in cells}
     mirror = {(m, n): (n, m) for m, n in cells if central.get((n, m)) == -central[(m, n)]}
-
-    def sides(p):
-        Lp = cache(lambda k: L[k](p))
-
-        def on_p(cell):
-            m, n = cell
-            if m == n:
-                return ()
-            bracket = [(1, L[m], Lp(n)), (-1, L[n], Lp(m))]
-            return ((bracket, [(m - n, None, Lp(m + n)), (central[cell], None, p)]),)
-
-        return on_p
-
-    return _scan("virasoro-commutators", t0, corpus, cells, sides, mirror=mirror.get)
+    plans = {
+        (m, n): _plan(
+            [(1, L[m], L[n].name), (-1, L[n], L[m].name)],
+            [(m - n, None, L[m + n].name), (central[m, n], None, "p")],
+        )
+        if m != n
+        else _plan(())
+        for m, n in cells
+    }
+    return _scan("virasoro-commutators", t0, corpus, cells, plans, L.values(), mirror.get)
 
 
 def scan_heisenberg_commutators(cells, corpus) -> list:
@@ -452,21 +483,16 @@ def scan_heisenberg_commutators(cells, corpus) -> list:
     live = [(n, k) for n, k in cells if n + k]
     alpha = {j: make_alpha(j) for j in sorted({j for n, k in live for j in (n, n + k)})}
     L = {k: make_L(k) for k in sorted({k for _, k in live})}
-    inverse = {n: (Rational(1, n), Rational(-1, n)) for n, _ in live}
-
-    def sides(p):
-        ap = cache(lambda j: alpha[j](p))
-        Lp = cache(lambda k: L[k](p))
-
-        def on_p(cell):
-            n, k = cell
-            inv, minus = inverse[n]
-            return (([(inv, alpha[n], Lp(k)), (minus, L[k], ap(n))], [(1, None, ap(n + k))]),)
-
-        return on_p
-
-    skip = [(n, k) for n, k in cells if not n + k]
-    return _scan("heisenberg-commutators", t0, corpus, cells, sides, skip)
+    plans = {
+        (n, k): _plan(
+            [(Rational(1, n), alpha[n], L[k].name), (Rational(-1, n), L[k], alpha[n].name)],
+            [(1, None, alpha[n + k].name)],
+        )
+        for n, k in live
+    }
+    return _scan(
+        "heisenberg-commutators", t0, corpus, cells, plans, [*alpha.values(), *L.values()]
+    )
 
 
 def scan_grading(cells, corpus) -> list:
@@ -481,12 +507,12 @@ def scan_grading(cells, corpus) -> list:
         )
 
     strays = {m: stray(m) for m in sorted({cell[0] for cell in cells})}
+    plans = {cell: _plan([(1, strays[cell[0]], "p")]) for cell in cells}
 
-    def sides(p):
-        parts = p.weight_parts().values()
-        return lambda cell: (([(1, strays[cell[0]], part)], []) for part in parts)
+    def parts(p):  # each weight part of p is checked on its own
+        return p.weight_parts().values()
 
-    return _scan("grading", t0, corpus, cells, sides)
+    return _scan("grading", t0, corpus, cells, plans, (), parts=parts)
 
 
 def check_virasoro_commutator(m: int, n: int, corpus) -> VerificationReport:
@@ -529,7 +555,7 @@ def exp_op_apply(op: LinearOp, p: QPoly) -> QPoly:
     denominator, into one dict that is canonicalised once."""
     terms = [p._num]
     for _ in range(p.max_weight() + 1):
-        term = {key: num for key, num in _add({}, 1, op, terms[-1]).items() if num}
+        term = {key: num for key, num in _add({}, 1, op.image, terms[-1]).items() if num}
         if not term:
             total, f = dict(terms[-1]), 1
             for n in range(len(terms) - 1, 0, -1):  # the 1/n rides on the denominator
@@ -584,7 +610,11 @@ def verify_factorization(
     for p in corpus_monomials(weight_bound):
         left, right = lhs(p), rhs(p)
         if left != right:
-            mismatch = _first_mismatch((([(1, None, left)], [(1, None, right)]),))
+            # each side's denominator rides on its coefficient, over rows of D = 1
+            plan = _plan(
+                [(Rational(1, left._den), None, "lhs")], [(Rational(1, right._den), None, "rhs")]
+            )
+            mismatch = _first_mismatch(plan, [({"lhs": left._num, "rhs": right._num}, 1)])
             return failed("factorization", weight_bound, t0, *mismatch)
     return passed("factorization", weight_bound, t0)
 

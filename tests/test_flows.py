@@ -468,6 +468,22 @@ def test_flow_apply_matches_fraction_oracle_on_named_flows():
         assert (dict(got.coeffs), got.prec) == _flow_by_fractions(coeffs, target)
 
 
+@pytest.mark.parametrize("law", [LAW_STANDARD, LAW_EVEN])
+def test_stepped_fill_equals_the_fill_at_every_exponent(law):
+    # the fill steps by the law's step; at step 1 it walks every exponent, as
+    # it did for both laws before, and the exponents it skips hold only zeros
+    s = STEPS[law]
+    tail = {-e: rational(e % 7 - 3, e + 2) for e in range(24)}
+    dense = GradedSeries(DESCENDING, {1: ONE, **tail}, prec=-24)
+    for target, count in ((series_f(30), 30 // s), (series_theta(40), 20), (dense, 24 // s)):
+        wanted = {1 - s * k: target.coefficient(1 - s * k) for k in range(1, count + 1)}
+        stepped, every = exact.Row._of({}, 1), exact.Row._of({}, 1)
+        flows._flow_fill(stepped, s * count, wanted, s)
+        flows._flow_fill(every, s * count, wanted, 1)
+        assert (stepped._num, stepped._den) == (every._num, every._den)
+        assert flow_solve(target, count, law).values == tuple(every.terms[e] for e in wanted)
+
+
 def test_flow_of_exact_constant_is_that_constant():
     cases = [(1, FlowCoeffs((1, 2))), (rational(-3, 7), FlowCoeffs((0, 5), LAW_EVEN, -1))]
     for value, coeffs in cases:

@@ -30,8 +30,8 @@ def test_fit_recovers_a_power_law():
     "op",
     [
         "mul", "reciprocal", "pow", "exp", "log", "coth", "revert", "compose", "flow_solve",
-        "flow_apply", "vir_scan", "vir_grid", "heis_grid", "factorization", "recurrence",
-        "stirling", "bernoulli",
+        "flow_apply", "vir_scan", "vir_grid", "heis_grid", "grad_grid", "factorization",
+        "recurrence", "stirling", "bernoulli",
     ],
 )
 def test_times_each_order_in_a_fresh_interpreter(op):

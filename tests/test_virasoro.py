@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,22 @@ def test_qpoly_repr_lists_terms_in_weight_order():
     p = QPoly({(3, 1, 1): R(1), (): R(-1, 2)})
     assert repr(p) == "QPoly(-1/2*1 + 1*q1*q1*q3)"
     assert repr(p - p) == "QPoly(0)"
+
+
+def test_corpus_rows_are_the_canonical_monomials():
+    # corpus_monomials wraps each reversed partition as a canonical row; the
+    # public constructor, which validates and sorts, builds the same rows
+    def partitions(total, cap):
+        if total == 0:
+            yield ()
+        for first in range(min(total, cap), 0, -1):
+            for rest in partitions(total - first, first):
+                yield (first,) + rest
+
+    for bound in range(15):
+        built = [QPoly.monomial(part) for w in range(bound + 1) for part in partitions(w, w)]
+        assert corpus_monomials(bound) == built
+        assert [p._den for p in corpus_monomials(bound)] == [1] * len(built)
 
 
 def test_default_corpus_samples_only_below_weight_12():
@@ -837,6 +854,185 @@ def test_scans_match_the_per_cell_loops_under_a_perturbed_weight(seed):
             *(oracle_heisenberg(n, k, corpus) for n, k in HEIS),
         ]
     assert [outcome(r) for r in engine] == [outcome(r) for r in oracle]
+
+
+# --- integer plans against plain Fractions ---------------------------------------
+#
+# The reference sums each side of a cell as a {monomial: Fraction} dict, applying
+# every operator to every row through its monomial image, and reads the first
+# differing monomial in canonical order: no plan, no scale, no common denominator.
+
+
+def frac_apply(op, poly):
+    out = {}
+    for key, c in poly.items():
+        for ikey, w in op.image(key):
+            out[ikey] = out.get(ikey, 0) + c * Fraction(w, op.den)
+    return out
+
+
+def frac_side(terms, rows):
+    out = {}
+    for c, op, name in terms:
+        for key, v in (rows[name] if op is None else frac_apply(op, rows[name])).items():
+            out[key] = out.get(key, 0) + Fraction(c) * v
+    return out
+
+
+def frac_first_mismatch(lhs, rhs, groups):
+    for rows in groups:
+        left, right = frac_side(lhs, rows), frac_side(rhs, rows)
+        for key in sorted(left.keys() | right.keys(), key=lambda k: (sum(k), k)):
+            cl, cr = Fraction(left.get(key, 0)), Fraction(right.get(key, 0))
+            if cl != cr:
+                return sum(key), str(cl), str(cr)
+    return None
+
+
+def frac_rows(ops, p):
+    rows = {"p": dict(p.terms)}
+    rows.update((op.name, frac_apply(op, rows["p"])) for op in ops)
+    return rows
+
+
+def random_ops(rng):
+    """Operators from make_L, make_alpha and op_sum, with distinct names."""
+    pool = [make_L(m) for m in range(-4, 5)] + [make_alpha(j) for j in (-3, -2, -1, 1, 2, 3)]
+    for _ in range(2):
+        picked = rng.sample(pool[:15], 2)
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in picked]
+        pool.append(op_sum(zip(coeffs, picked)))
+    ops = {}
+    for op in rng.sample(pool, rng.randint(1, 6)):
+        ops.setdefault(op.name, op)
+    return list(ops.values())
+
+
+def random_cell(rng, ops, names):
+    """(lhs, rhs) term lists with rational coefficients; about half of them
+    hold, rhs being lhs with each coefficient split in two and shuffled."""
+    def term():
+        c = Fraction(rng.randint(-7, 7), rng.randint(1, 9)) if rng.random() < 0.9 else 0
+        return c, rng.choice([None, *ops]), rng.choice(names)
+
+    lhs = [term() for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.5:
+        return lhs, [term() for _ in range(rng.randint(0, 4))]
+    rhs = []
+    for c, op, name in lhs:
+        part = Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+        rhs += [(part, op, name), (c - part, op, name)]
+    rng.shuffle(rhs)
+    return lhs, rhs
+
+
+@given(st.lists(qpolys, min_size=1, max_size=3), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_plan_residual_matches_plain_fractions(parts, seed):
+    # the named rows of each polynomial are one group; a cell's plan must give
+    # the reference's verdict and first mismatch, group by group
+    rng = random.Random(seed)
+    ops = random_ops(rng)
+    names = ["p", *(op.name for op in ops)]
+    groups = [virasoro._named_rows(ops, p) for p in parts]
+    for rows, den in groups:
+        assert den > 0 and set(rows) == set(names)
+    refs = [frac_rows(ops, p) for p in parts]
+    for _ in range(8):
+        lhs, rhs = random_cell(rng, ops, names)
+        plan = virasoro._plan(lhs, rhs)
+        assert virasoro._first_mismatch(plan, groups) == frac_first_mismatch(lhs, rhs, refs)
+
+
+def frac_scan(identity, cells, corpus):
+    """Per-cell reference of a scan, each cell on its own: (status, mismatch)."""
+    out = []
+    for cell in cells:
+        if identity == "heisenberg-commutators" and sum(cell) == 0:
+            out.append((SKIPPED, None))
+            continue
+        found = None
+        for p in corpus:
+            if identity == "virasoro-commutators":
+                m, n = cell
+                L = virasoro.make_L
+                central = Fraction(m**3 - m, 12) if m + n == 0 else 0
+                groups = [frac_rows([L(m), L(n), L(m + n)], p)]
+                lhs = [(1, L(m), L(n).name), (-1, L(n), L(m).name)]
+                rhs = [(m - n, None, L(m + n).name), (central, None, "p")]
+            elif identity == "heisenberg-commutators":
+                n, k = cell
+                a, L = virasoro.make_alpha, virasoro.make_L
+                groups = [frac_rows([a(n), L(k), a(n + k)], p)]
+                lhs = [(Fraction(1, n), a(n), L(k).name), (Fraction(-1, n), L(k), a(n).name)]
+                rhs = [(1, None, a(n + k).name)]
+            else:
+                L = virasoro.make_L(cell[0])
+                groups = []
+                for w, part in p.weight_parts().items():
+                    image = frac_apply(L, dict(part.terms))
+                    groups.append({"p": {k: v for k, v in image.items() if sum(k) != w - cell[0]}})
+                lhs, rhs = [(1, None, "p")], []
+            found = frac_first_mismatch(lhs, rhs, groups)
+            if found is not None:
+                break
+        out.append((PASS, None) if found is None else (FAIL, found))
+    return out
+
+
+def perturbed_by(rng, make, indices, keys):
+    """``make`` with one weight of one image off by a small integer, or unchanged."""
+    bad, target, delta = rng.choice(indices), rng.choice(keys), rng.choice([-2, -1, 1, 2])
+
+    def made(i):
+        op = make(i)
+        if i != bad:
+            return op
+
+        def image(key):
+            terms = list(op.image(key))
+            if key == target and terms:
+                terms[0] = terms[0][0], terms[0][1] + delta
+            return terms
+
+        return LinearOp(op.name, image, op.den)
+
+    return made
+
+
+@given(st.lists(qpolys, min_size=1, max_size=4), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_scans_match_plain_fractions_on_random_cells(corpus, seed):
+    # random cells in random order, random rational polynomials, and, in most
+    # examples, one operator weight off: every report must be the reference's
+    rng = random.Random(seed)
+    corpus = [p for p in corpus if not p.is_zero()] or [ONE]
+    keys = sorted({key for p in corpus for key in p.terms})
+    vir = rng.sample(PAIRS, rng.randint(1, 12))
+    heis = rng.sample(HEIS, rng.randint(1, 12))
+    # (k, n) beside (n, k): its residual is not minus that of (n, k), so it
+    # must never take a verdict from it
+    heis += [(k, n) for n, k in heis if k and (k, n) not in heis]
+    rng.shuffle(heis)
+    grad = [(m,) for m in rng.sample(list(SPAN), rng.randint(1, 7))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(virasoro, "_forks", lambda pairs: False)
+        if rng.random() < 0.7:
+            patch.setattr(virasoro, "make_L", perturbed_by(rng, make_L, list(SPAN), keys))
+        if rng.random() < 0.5:
+            alphas = [j for j in range(-6, 7) if j]
+            patch.setattr(virasoro, "make_alpha", perturbed_by(rng, make_alpha, alphas, keys))
+        for identity, scan, cells in [
+            ("virasoro-commutators", scan_virasoro_commutators, vir),
+            ("heisenberg-commutators", scan_heisenberg_commutators, heis),
+            ("grading", scan_grading, grad),
+        ]:
+            reports = scan(cells, corpus)
+            got = [
+                (r.status, r.first_mismatch and tuple(r.first_mismatch._fields()))
+                for r in reports
+            ]
+            assert got == frac_scan(identity, cells, corpus), identity
 
 
 def test_jacobi_identity():

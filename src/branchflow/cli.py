@@ -13,6 +13,7 @@ import os
 import re
 import sys
 import time
+from functools import cache
 from itertools import product
 
 from .branches import (
@@ -37,6 +38,7 @@ from .flows import (
     series_f_plus,
     series_h,
     series_theta,
+    series_theta_f,
     series_y,
     verify_flow_laws,
     verify_fplus_functional,
@@ -81,9 +83,7 @@ FAMILIES = {
     "b": lambda order: _numbered(coeffs_b(order).values),
     "c": lambda order: _numbered(coeffs_c(order).values),
     "a": lambda order: _numbered(flow_solve(series_f(order)).values),
-    "e": lambda order: _numbered(
-        flow_solve(series_theta(order).compose(series_f(order)), count=order).values
-    ),
+    "e": lambda order: _numbered(flow_solve(series_theta_f(order), count=order).values),
     "ahat": lambda order: _numbered(flow_solve(series_f_plus(order), count=order).values),
     # l_order sits at z^(1 - 2*order), the last exponent theta(2*order) knows
     "l": lambda order: _numbered(
@@ -197,7 +197,9 @@ def _resolve_order(raw, parser) -> int:
     return order
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="branchflow",
         description="Exact series engine: coefficient dumps and identity verification.",

@@ -483,14 +483,19 @@ class GradedSeries:
         return acc
 
     def revert(self):
-        """Compositional inverse by Lagrange inversion.
+        """Compositional inverse by Lagrange-Buermann inversion.
 
         Ascending input must look like ``c1*z + ...`` with ``c1 != 0``;
-        descending input must look like ``z + c0 + c1/z + ...``.  For
-        ascending ``g``, ``[z^k] g^-1 = (1/k) [w^(k-1)] (w/g(w))^k``, each
-        power from :func:`_first_order`.  Descending ``g`` is conjugated to
-        the ascending ``G(t) = 1/g(1/t)``, whose inverse conjugates back the
-        same way.  The result window matches the input's.
+        descending input must look like ``z + c0 + c1/z + ...``.  Ascending
+        ``g`` is ``c1 w (1 + t)``, and ``[z^k] g^-1 = (1/k) [w^(k-1)] (w/g(w))^k
+        = c1^-k / k * sum_i C(-k, i) [w^(k-1)] t^i``.  The powers ``t^i``, for
+        ``i`` up to ``wprec - 2``, are one table built a row at a time, each
+        row ``t^(i-1) t`` in ints cut at ``w^(wprec-2)`` and reduced once;
+        each row is summed into int accumulators over the running lcm of the
+        row denominators and dropped, and one Rational is built per result
+        coefficient.  Descending ``g`` is conjugated to the ascending
+        ``G(t) = 1/g(1/t)``, whose inverse conjugates back the same way.  The
+        result window matches the input's.
         """
         g = self
         wp = g.wprec
@@ -503,19 +508,37 @@ class GradedSeries:
             return conj.revert().reciprocal().invert_variable()
         if g.lead != 1:
             raise LeadingTermError("ascending reversion needs shape c1*z + higher with c1 != 0")
-        # g(w)/w = c1 (1 + t), so (w/g(w))^k = c1^-k (1 + t)^-k; over the row's
-        # denominator D, c1 = n_1/D and (1 + t) = (n_1 + T)/n_1
-        n1, t = g._row._num[1], g._rest()
-        inv = Rational(g._row._den, n1)
-        scale = ONE
-        out = Row._of({}, 1)
+        # over the row's denominator D, c1 = n_1/D and t = T/n_1; acc[k] / den
+        # is sum_i C(-k, i) [w^(k-1)] t^i, C(-k, i) = (-1)^i C(k+i-1, i)
+        n1, top = g._row._num[1], wp - 2
+        t = Row._canon(g._rest(), n1)
+        step = list(t._num.items())
+        acc, den = [0, 1, *[0] * top], 1
+        power = Row._of({0: 1}, 1)
+        for i in range(1, top + 1):
+            out = [0] * (top + 1)
+            for a, x in power._num.items():
+                for j, y in step:
+                    if a + j > top:
+                        break
+                    out[a + j] += x * y
+            power = Row._canon(dict(enumerate(out)), power._den * t._den)
+            if not power._num:
+                break
+            if den % power._den:
+                f = power._den // math.gcd(den, power._den)
+                acc, den = [c * f for c in acc], den * f
+            f = (-1) ** i * (den // power._den)
+            for d, x in power._num.items():
+                acc[d + 1] += f * math.comb(d + i, i) * x
+        # [z^k] g^-1 = acc[k] / den * (D/n_1)^k / k
+        ratio = Rational(g._row._den, n1)
+        p, q, pk, qk, coeffs = ratio.numerator, ratio.denominator, 1, 1, {}
         for k in range(1, wp):
-            scale *= inv
-            power = _first_order(t, k, -k, 1, n1)
-            c = power._num[k - 1]
-            if c:
-                out._put(k, Rational(c, power._den) * scale / k)
-        return GradedSeries._cut(ASCENDING, out, wp)
+            pk, qk = pk * p, qk * q
+            if acc[k]:
+                coeffs[k] = Rational(acc[k] * pk, den * qk * k)
+        return GradedSeries._cut(ASCENDING, Row(coeffs), wp)
 
 
 def _sum(direction, pairs):

@@ -296,14 +296,15 @@ def commutator(A: LinearOp, B: LinearOp, p: QPoly) -> QPoly:
 def _scan(identity, t0, corpus, cells, plans, ops, mirror=lambda cell: None, parts=None) -> list:
     """One report per cell, in the order of ``cells``, from one walk of the corpus,
     which ``_walk_halves`` may share between two processes.
-    A cell without a plan is SKIPPED.  A cell FAILs at the first p where its plan
+    A cell without a plan is SKIPPED, and one whose plan has no terms PASSes
+    without being asked.  A cell FAILs at the first p where its plan
     has a non-zero residual on the rows ``_named_rows(ops, part)``, taken for p
     or, given ``parts``, for each polynomial of ``parts(p)`` in turn; on p it is
     not asked if it failed, or if ``mirror(cell)``, whose residual is minus its
     own, passed.  Elapsed time runs from ``t0`` on, read by the process that
     decided the cell, and each report's order is the corpus's largest weight."""
     order = max(p.max_weight() for p in corpus)
-    asked = [cell for cell in cells if cell in plans]
+    asked = [cell for cell in cells if cell in plans and plans[cell][0]]
 
     def walk(indices):
         found = {}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,48 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coeffs"][0] == {"index": 1, "value": "1"}
+
+
+ELAPSED = re.compile(r'"elapsed_ms": \d+|in \d+ ms')
+
+
+def test_one_interpreter_answers_each_call_as_a_fresh_one():
+    # the parser is built on the first call and shared by the later ones
+    calls = [
+        ["verify", "prop-hy", "--order", "6"],
+        ["coeffs", "e", "--order", "5", "--format", "csv"],
+        ["coeffs", "f", "--order", "0"],
+        ["verify", "prop-hy", "--order", "6"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from branchflow.cli import build_parser, main\n"
+        "assert build_parser.cache_info().currsize == 0\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            rc = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            rc = exc.code\n"
+        "    runs.append([rc, out.getvalue(), err.getvalue()])\n"
+        "assert build_parser.cache_info().misses == 1\n"
+        "print(json.dumps(runs))\n"
+    )
+    one = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True
+    )
+    assert one.returncode == 0, one.stderr
+    shared = json.loads(one.stdout)
+    for argv, (rc, out, err) in zip(calls, shared, strict=True):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "branchflow", *argv], capture_output=True, text=True
+        )
+        assert rc == fresh.returncode, argv
+        assert ELAPSED.sub("", out) == ELAPSED.sub("", fresh.stdout), argv
+        assert ELAPSED.sub("", err) == ELAPSED.sub("", fresh.stderr), argv
+    assert [rc for rc, _, _ in shared] == [0, 0, 2, 0]
 
 
 # --- usage errors ------------------------------------------------------------

@@ -122,6 +122,7 @@ CACHED_BUILDERS = {
     "f-plus-1": series_f_plus_1,
     "f-plus-2": series_f_plus_2,
     "f-plus": series_f_plus,
+    "theta-f": flows.series_theta_f,
     "H": series_H,
 }
 

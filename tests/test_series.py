@@ -760,3 +760,85 @@ def outcome(fn, x):
 def test_exp_log_match_power_sums(x):
     assert outcome(GradedSeries.exp, x) == outcome(power_sum_exp, x)
     assert outcome(GradedSeries.log, x) == outcome(power_sum_log, x)
+
+
+# --- reversion against a plain-Fraction Lagrange inversion -------------------------
+
+
+def fraction_inverse(p, degree):
+    """1/p through ``degree`` for the list p of Fractions, p[0] != 0, by long division."""
+    out = [1 / p[0]]
+    for s in range(1, degree + 1):
+        out.append(-sum(p[u] * out[s - u] for u in range(1, min(s, len(p) - 1) + 1)) / p[0])
+    return out
+
+
+def lagrange_ascending(a):
+    """[b_1 .. b_(n-1)] with g^-1 = sum b_k z^k, for g = sum a_k z^k known below
+    z^n, n = len(a), a[0] = 0 and a[1] != 0: b_k = (1/k) [w^(k-1)] (w/g(w))^k,
+    each power a product of Fraction lists."""
+    top = len(a) - 2
+    phi = fraction_inverse(a[1:], top)  # w/g(w)
+    power, out = [Fraction(1)] + [Fraction(0)] * top, []
+    for k in range(1, len(a)):
+        power = [sum(power[i] * phi[d - i] for i in range(d + 1)) for d in range(top + 1)]
+        out.append(power[k - 1] / k)
+    return out
+
+
+def lagrange_oracle(g):
+    """``(coeffs, prec)`` of ``g^-1``, or the refusal's error type, in Fractions.
+
+    A descending ``g = z P(1/z)`` is reverted through ``G(t) = 1/g(1/t) = t/P(t)``:
+    the inverse ``H = t Q(t)`` of ``G`` gives ``g^-1(z) = 1/H(1/z) = z/Q(1/z)``."""
+    if g.prec is None:
+        return TruncationError
+    if g.direction == ASCENDING:
+        if g.lead != 1:
+            return LeadingTermError
+        b = lagrange_ascending([Fraction(g.coefficient(e)) for e in range(g.prec)])
+        return {k + 1: c for k, c in enumerate(b) if c}, g.prec
+    if g.lead != 1 or g.lead_coeff != 1:
+        return LeadingTermError
+    span = -g.prec  # P is known through t^span
+    P = [Fraction(g.coefficient(1 - j)) for j in range(span + 1)]
+    H = lagrange_ascending([Fraction(0), *fraction_inverse(P, span)])
+    R = fraction_inverse(H, span)
+    return {1 - j: c for j, c in enumerate(R) if c}, g.prec
+
+
+@st.composite
+def reversion_inputs(draw):
+    """Input for ``revert``: either direction, ``span`` orders known past the lead
+    z^1 (none included), an ascending lead that is any non-zero rational, rows
+    that are sparse, odd (every exponent odd) or dense with zeros inside, and
+    now and then a refused shape."""
+    d = draw(directions)
+    sign = 1 if d == ASCENDING else -1
+    span = draw(st.integers(0, 11))
+    offsets = st.integers(1, span) if span else st.nothing()
+    if draw(st.booleans()):
+        offsets = offsets.filter(lambda k: k % 2 == 0)  # g odd
+    tail = draw(st.dictionaries(offsets, kernel_rationals | st.just(ZERO), max_size=span))
+    coeffs = {1 + sign * k: c for k, c in tail.items()}
+    prec = sign * (sign + 1 + span)
+    lead = draw(kernel_rationals.filter(lambda c: c != 0)) if d == ASCENDING else ONE
+    shape = draw(st.sampled_from(["good"] * 8 + ["no lead", "window 1", "exact", "lead 2"]))
+    if shape == "no lead":
+        return GradedSeries(d, coeffs, prec)
+    if shape == "window 1":  # z^1 unknown (ascending, g = O(z)) or known to be 0
+        return GradedSeries(d, {}, sign)
+    if shape == "lead 2" and d == DESCENDING:
+        lead = ONE + 1
+    return GradedSeries(d, {1: lead, **coeffs}, None if shape == "exact" else prec)
+
+
+@given(reversion_inputs())
+@settings(max_examples=300)
+def test_revert_matches_plain_fraction_lagrange_inversion(g):
+    got, want = outcome(GradedSeries.revert, g), lagrange_oracle(g)
+    if isinstance(want, tuple):
+        assert (got.coeffs, got.prec) == want
+        assert_canonical(got)
+    else:
+        assert got is want

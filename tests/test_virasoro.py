@@ -621,6 +621,33 @@ def test_scans_apply_each_image_once_per_polynomial(monkeypatch):
     assert calls == expected
 
 
+@pytest.mark.parametrize("fault", [None, wrong_L_minus_2], ids=["true", "wrong-L-2"])
+def test_diagonal_cells_pass_without_a_residual(monkeypatch, fault):
+    # [L_m, L_m] = 0 holds for any operator: the cell (m, m) has no terms, and the
+    # scan decides it PASS without summing a residual on any polynomial
+    if fault is not None:
+        monkeypatch.setattr(virasoro, "make_L", fault(virasoro.make_L))
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: False)
+    asked, first_mismatch = [], virasoro._first_mismatch
+
+    def recording(plan, groups):
+        asked.append(plan)
+        return first_mismatch(plan, groups)
+
+    monkeypatch.setattr(virasoro, "_first_mismatch", recording)
+    corpus = default_corpus(6, 0)
+    reports = scan_virasoro_commutators(PAIRS, corpus)
+    assert asked and all(terms for terms, _, _ in asked)
+    assert [outcome(r) for r in reports] == [
+        outcome(oracle_virasoro(m, n, corpus)) for m, n in PAIRS
+    ]
+    asked.clear()
+    diagonal = [check_virasoro_commutator(m, m, corpus) for m in SPAN]
+    assert asked == []
+    assert [outcome(r) for r in diagonal] == [outcome(oracle_virasoro(m, m, corpus)) for m in SPAN]
+    assert all(r.status == PASS for r in diagonal)
+
+
 # --- scans split between two processes ------------------------------------------
 #
 # A scan walks the even corpus indices here and the odd ones in a forked child.

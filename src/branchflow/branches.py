@@ -47,7 +47,8 @@ class _Recurrence:
     with r_n = s^{n+1} n! rest(n) = s n step(r_{n-1}, s beta_{n-1}), an int
     numerator over the same denominator.  The terms k and n+1-k pair to
     C(n+1, k) beta_k beta_{n+1-k}, read off one Pascal row that each step
-    advances, and each step builds one Rational.
+    advances, and each step goes into the row as the int pair
+    ``(r_n d - conv, d^2 (n+1) s)`` through ``Row._put``, with no Rational built.
 
     Why the scaling: dividing by n+1 at every step leaves the primes up to n+1
     in the denominators of the t_n, so over one common denominator every
@@ -80,7 +81,7 @@ class _Recurrence:
             conv = sum(map(mul, pairs, betas[n - 2 : n - h - 1 : -1]))
             if n % 2:
                 conv += (pascal[h + 1] >> 1) * betas[h] ** 2
-            row._put(n - 1, Rational(rest * d - conv, d * d * (n + 1) * s))
+            row._put(n - 1, rest * d - conv, d * d * (n + 1) * s)
             self.rest *= row._den // d
         self.pascal = pascal
         vals = self.values

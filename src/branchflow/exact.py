@@ -80,16 +80,22 @@ class Row:
                 out[key] = get(key, 0) + f * num
         return cls._canon(out, den)
 
-    def _put(self, key, value) -> None:
-        """Sets ``key`` to the Rational ``value``; ``_den`` rises to the lcm with
-        its denominator, rescaling the numerators, only when the value needs it."""
-        q, den = value.denominator, self._den
-        if den % q:
-            self._den = math.lcm(den, q)
-            scale, den, nums = self._den // den, self._den, self._num
+    def _put(self, key, num: int, den: int) -> None:
+        """Sets ``key`` to ``num / den`` for ints with ``den != 0``, reduced by one
+        gcd; ``_den`` rises to the lcm with the reduced denominator, rescaling the
+        numerators, only when the value needs it.  A Rational goes in as its two
+        parts.  A negative ``den`` needs no flip: the lcm is positive and
+        ``_den // den`` carries the sign into the numerator."""
+        g = math.gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+        d = self._den
+        if d % den:
+            self._den = math.lcm(d, den)
+            scale, d, nums = self._den // d, self._den, self._num
             for k in nums:
                 nums[k] *= scale
-        self._num[key] = value.numerator * (den // q)
+        self._num[key] = num * (d // den)
 
     @property
     def terms(self) -> Mapping:

@@ -12,6 +12,7 @@ fill depth by depth.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import wraps
 
@@ -80,13 +81,15 @@ def _flow_fill(g: Row, top: int, solve: dict, step: int) -> None:
     T_{j-1} only at smaller depths, so all terms fill together, depth by depth
     (relaxed evaluation, van der Hoeven 2002), and T_1 = G alone reads G at the
     depth being solved.  G and each T_j' are rows keyed by exponent, so a cell's
-    convolution runs in ints, over only the G terms that meet the row below, and
-    builds one Rational."""
+    convolution runs in ints, over only the G terms that meet the row below;
+    the cell's value goes into T_j' through ``Row._put`` and into the depth's
+    sum as int numerator and denominator, so no Rational is built."""
     # T_0' = 1, then T_1' .. T_top'; T_j' starts at z^(-j) or deeper
     derivs = [Row._of({0: 1}, 1)] + [Row._of({}, 1) for _ in range(top)]
     g_pairs = []  # G's (exponent, numerator) pairs, solved from z^0 down
     for e in range(1, -top, -step):
-        s = ZERO  # the terms from T_2 on; T_0 = z adds nothing at a solved exponent
+        # the terms from T_2 on, sn / sd; T_0 = z adds nothing at a solved exponent
+        sn, sd, gd = 0, 1, g._den
         for j in range(2, 2 - e):
             below = derivs[j - 1]
             get = below._num.get
@@ -98,14 +101,16 @@ def _flow_fill(g: Row, top: int, solve: dict, step: int) -> None:
                     break
                 t += ga * get(e - a, 0)
             if t:
-                t = Rational(t, g._den * below._den * j)
-                s += t
-                derivs[j]._put(e - 1, e * t)  # T_j' = e T_j z^(e-1)
+                d = gd * below._den * j
+                derivs[j]._put(e - 1, e * t, d)  # T_j' = e T_j z^(e-1)
+                lcm = math.lcm(sd, d)
+                sn, sd = sn * (lcm // sd) + t * (lcm // d), lcm
         if e in solve:
-            ge = solve[e] - s
-            g._put(e, ge)
+            v = solve[e]  # g_e = v - s
+            num, den = v.numerator * sd - sn * v.denominator, v.denominator * sd
+            g._put(e, num, den)
             g_pairs = list(g._num.items())
-            derivs[1]._put(e - 1, e * ge)
+            derivs[1]._put(e - 1, e * num, den)
 
 
 def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:

@@ -109,13 +109,15 @@ def compare_series(identity, order, lhs, rhs, exponents, t0) -> VerificationRepo
 
     The scan order of ``exponents`` fixes which mismatch is reported first,
     so callers list them from the leading term inward.  Reading an exponent
-    outside either known window raises, which keeps a too-shallow
-    computation from masquerading as a pass.
+    outside either known window raises, lhs's before rhs's, which keeps a
+    too-shallow computation from masquerading as a pass.  Both rows are
+    canonical with positive denominators, so each exponent is decided in ints,
+    ``n_l D_r == n_r D_l``; Rationals are built only for a FAIL's strings.
     """
+    ld, rd = lhs._row._den, rhs._row._den
     for e in exponents:
-        lv = lhs.coefficient(e)
-        rv = rhs.coefficient(e)
-        if lv != rv:
+        if lhs._numerator(e) * rd != rhs._numerator(e) * ld:
+            lv, rv = lhs.coefficient(e), rhs.coefficient(e)
             return failed(identity, order, t0, e, rational_str(lv), rational_str(rv))
     return passed(identity, order, t0)
 

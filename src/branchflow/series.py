@@ -99,9 +99,9 @@ class GradedSeries:
     def _cut(cls, direction, row, wprec):
         """Wraps the canonical ``row``, keyed by exponent, with its terms at
         ``w >= wprec`` dropped."""
-        sign = 1 if direction == ASCENDING else -1
-        if wprec is not None and any(sign * e >= wprec for e in row._num):
-            row = Row._canon({e: n for e, n in row._num.items() if sign * e < wprec}, row._den)
+        sign, num = (1 if direction == ASCENDING else -1), row._num
+        if wprec is not None and num and (max(num) if sign == 1 else -min(num)) >= wprec:
+            row = Row._canon({e: n for e, n in num.items() if sign * e < wprec}, row._den)
         g = object.__new__(cls)
         g.direction, g._row, g.prec = direction, row, None if wprec is None else sign * wprec
         return g
@@ -158,12 +158,17 @@ class GradedSeries:
         return wp is None or self._w(exponent) < wp
 
     def coefficient(self, exponent):
+        num = self._numerator(exponent)
+        return Rational(num, self._row._den) if num else ZERO
+
+    def _numerator(self, exponent) -> int:
+        """The int numerator at ``exponent`` over the row's denominator; an
+        exponent outside the known window raises ``TruncationError``."""
         if not self.known(exponent):
             raise TruncationError(
                 f"coefficient at z^{exponent} is beyond the known window (prec={self.prec})"
             )
-        num = self._row._num.get(exponent)
-        return ZERO if num is None else Rational(num, self._row._den)
+        return self._row._num.get(exponent, 0)
 
     def support(self):
         return sorted(self._row._num, key=self._w)
@@ -264,16 +269,25 @@ class GradedSeries:
         wla = self.wlead if ra._num else wpa
         wlb = other.wlead if rb._num else wpb
         wp = min((e + lead for e, lead in ((wpa, wlb), (wpb, wla)) if e is not None), default=None)
-        # the second row in window order: each walk stops at the window edge
-        sign, out = (1 if self.direction == ASCENDING else -1), {}
-        second = sorted((sign * eb, eb, cb) for eb, cb in rb._num.items())
+        if not (ra._num and rb._num):
+            return GradedSeries._cut(self.direction, Row._of({}, 1), wp)
+        # numerators by w-offset from the product's lead w0, up to the window
+        # edge; the second row in window order, so each walk stops at the edge
+        sign, w0 = (1 if self.direction == ASCENDING else -1), wla + wlb
+        second = sorted((sign * eb - wlb, cb) for eb, cb in rb._num.items())
+        size = max(ra._num) - min(ra._num) + max(rb._num) - min(rb._num) + 1
+        if wp is not None:
+            size = min(size, wp - w0)
+        out = [0] * size
         for ea, ca in ra._num.items():
-            edge = math.inf if wp is None else wp - sign * ea
-            for wb, eb, cb in second:
-                if wb >= edge:
+            oa = sign * ea - wla
+            edge = size - oa
+            for ob, cb in second:
+                if ob >= edge:
                     break
-                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-        return GradedSeries._cut(self.direction, Row._canon(out, ra._den * rb._den), wp)
+                out[oa + ob] += ca * cb
+        num = {sign * (w0 + i): c for i, c in enumerate(out) if c}
+        return GradedSeries._cut(self.direction, Row._canon(num, ra._den * rb._den), wp)
 
     __rmul__ = __mul__
 
@@ -584,7 +598,9 @@ def _first_order(s, depth, p, b, q, head=ONE, source=False):
     Scaling ``q`` and ``s`` together scales both sides, so a caller whose
     ``s`` is int numerators over ``D`` passes them with ``q`` times ``D`` and
     the same ``head``: every sum then runs in ints, over the denominator of
-    the ``g`` solved so far, and the row it returns may hold zeros.
+    the ``g`` solved so far, each ``g_k`` goes into the row as the int pair
+    ``(acc, q k den)`` through ``Row._put``, with no Rational built, and the
+    row it returns may hold zeros.
     """
     g = Row._of({0: head.numerator}, head.denominator)
     gn = g._num
@@ -596,7 +612,7 @@ def _first_order(s, depth, p, b, q, head=ONE, source=False):
             gj = gn[k - j]
             if gj:
                 acc += ((p + b) * j - b * k) * sj * gj
-        g._put(k, Rational(acc, q * k * g._den))
+        g._put(k, acc, q * k * g._den)
     return g
 
 

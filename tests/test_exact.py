@@ -63,17 +63,35 @@ def test_string_round_trip(a):
 def test_row_raises_its_denominator_only_when_a_value_needs_it():
     row = Row({0: Rational(1, 6), 1: Rational(-1, 4), 2: ZERO})  # zeros are dropped
     assert (row._num, row._den) == ({0: 2, 1: -3}, 12)
-    row._put(2, Rational(5, 3))  # 3 divides 12: the numerators stay as they are
+    row._put(2, 5, 3)  # 3 divides 12: the numerators stay as they are
     assert (row._num, row._den) == ({0: 2, 1: -3, 2: 20}, 12)
     nums = row._num
-    row._put(3, Rational(1, 10))  # the lcm 60 rescales the earlier numerators in place
+    row._put(3, 1, 10)  # the lcm 60 rescales the earlier numerators in place
     assert row._num is nums
     assert (row._num, row._den) == ({0: 10, 1: -15, 2: 100, 3: 6}, 60)
-    row._put(1, Rational(1, 7))  # a key put again takes the new value
+    row._put(1, 1, 7)  # a key put again takes the new value
     assert list(row.terms.values()) == [
         Rational(1, 6), Rational(1, 7), Rational(5, 3), Rational(1, 10)
     ]
     assert (Row({})._num, Row({})._den) == ({}, 1)
+
+
+def test_row_put_takes_an_int_numerator_and_denominator():
+    row = Row({0: Rational(1, 6)})
+    row._put(1, 3, -4)  # a negative denominator: the row's stays positive
+    assert (row._num, row._den) == ({0: 2, 1: -9}, 12)
+    row._put(2, 0, -5)  # a zero numerator is a zero value, whatever the denominator
+    assert (row._num, row._den) == ({0: 2, 1: -9, 2: 0}, 12)
+    row._put(3, 10, 8)  # 5/4 after one gcd: 4 divides 12, so nothing is rescaled
+    assert (row._num, row._den) == ({0: 2, 1: -9, 2: 0, 3: 15}, 12)
+    row._put(4, -14, -35)  # 2/5 after the gcd and the sign: the lcm 60 rescales
+    assert (row._num, row._den) == ({0: 10, 1: -45, 2: 0, 3: 75, 4: 24}, 60)
+    row._put(1, -6, 9)  # a key put twice takes the new value, over the same 60
+    assert (row._num, row._den) == ({0: 10, 1: -40, 2: 0, 3: 75, 4: 24}, 60)
+    assert dict(row.terms) == {
+        0: Rational(1, 6), 1: Rational(-2, 3), 2: ZERO, 3: Rational(5, 4), 4: Rational(2, 5)
+    }
+    assert Row._canon(row._num, row._den) == Row(dict(row.terms))
 
 
 def test_row_kernel_returns_canonical_rows():

@@ -10,8 +10,8 @@ import pytest
 from branchflow import FlowCoeffs, LinearOp, Mismatch, VerificationReport
 from branchflow.branches import BranchCoeffs
 from branchflow.exact import ONE, Rational
-from branchflow.report import FAIL, PASS, failed, start_clock
-from branchflow.series import SeriesError
+from branchflow.report import FAIL, PASS, compare_series, failed, start_clock
+from branchflow.series import ASCENDING, DESCENDING, GradedSeries, SeriesError, TruncationError
 
 
 def _identity(key):
@@ -92,3 +92,43 @@ def test_a_failure_is_timed_to_its_verdict_or_to_now():
     report = failed("grading(m=2)", 9, 100.0, 3, Rational(1, 36), "-1/7", at=101.5)
     assert report == VerificationReport("grading(m=2)", 9, FAIL, mismatch, 1500)
     assert failed("grading(m=2)", 9, start_clock() - 2, 3, "1/36", "-1/7").elapsed_ms >= 2000
+
+
+def _series(coeffs, prec=None, direction=ASCENDING):
+    return GradedSeries(direction, {e: Rational(c) for e, c in coeffs.items()}, prec)
+
+
+def test_compare_series_passes_rows_whose_denominators_differ_off_the_window():
+    lhs = _series({0: "1/2", 1: "-1/3"}, prec=4)
+    rhs = _series({0: "1/2", 1: "-1/3", 2: "0", 3: "5/7"}, prec=6)  # 5/7 raises rhs's lcm
+    assert (lhs._row._den, rhs._row._den) == (6, 42)
+    report = compare_series("id", 3, lhs, rhs, range(0, 3), start_clock())
+    assert (report.status, report.first_mismatch) == (PASS, None)
+    desc = _series({1: 1, -2: "3/11"}, prec=-3, direction=DESCENDING)
+    assert compare_series("id", 3, desc, desc + _series({-4: 1}, direction=DESCENDING),
+                          range(1, -3, -1), start_clock()).status == PASS
+
+
+def test_compare_series_reports_the_first_mismatch_as_before():
+    lhs = _series({0: 1, 1: "-2/3", 2: "4/9", 3: 5}, prec=5)
+    rhs = _series({0: 1, 1: "-2/3", 2: "4/10", 4: "1/8"}, prec=5)
+    report = compare_series("id", 4, lhs, rhs, range(0, 5), start_clock())
+    assert report.first_mismatch == Mismatch(2, "4/9", "2/5")
+    assert report.status == FAIL
+    # a term absent on one side reads as 0; integral values print without a denominator
+    later = compare_series("id", 4, lhs, rhs, range(3, 5), start_clock())
+    assert later.first_mismatch == Mismatch(3, "5", "0")
+    assert compare_series("id", 4, rhs, lhs, [4], start_clock()).first_mismatch == Mismatch(
+        4, "1/8", "0"
+    )
+
+
+def test_compare_series_reads_lhs_window_before_rhs():
+    lhs, rhs = _series({0: 1}, prec=2), _series({0: 1}, prec=1)
+    with pytest.raises(TruncationError, match=r"z\^2 .*prec=2"):
+        compare_series("id", 2, lhs, rhs, [0, 2], start_clock())
+    with pytest.raises(TruncationError, match=r"z\^1 .*prec=1"):
+        compare_series("id", 2, lhs, rhs, [0, 1], start_clock())
+    # a mismatch ahead of the edge is reported before the edge is reached
+    other = _series({0: 2}, prec=1)
+    assert compare_series("id", 2, lhs, other, [0, 2], start_clock()).status == FAIL

@@ -7,6 +7,7 @@
     python3 scripts/growth.py vir_grid --orders 12 13 14 15
     python3 scripts/growth.py heis_grid --orders 12 13 14 15
     python3 scripts/growth.py grad_grid --orders 12 13 14 15
+    python3 scripts/growth.py kw --orders 12 15 18
     python3 scripts/growth.py recurrence --orders 100 200 403
     python3 scripts/growth.py stirling --orders 50 100 200
 
@@ -29,7 +30,9 @@ empty tables.  For the operator ops the order is the weight bound of the
 q-polynomial corpus: ``vir_scan`` times one commutator cell, ``vir_grid``,
 ``heis_grid`` and ``grad_grid`` the CLI's whole -5..5 Virasoro, Heisenberg and
 grading scans (their corpus adds a seeded sample up to weight 12, so fit them
-from 12 up), and ``factorization`` the factorization check.  ``--src`` points
+from 12 up), ``factorization`` the factorization check, and ``kw`` the m = 1
+string-type residual ``kw_residual(F, 1)`` of the free energy F through weight
+n, built in setup by ``scripts/generate_fk_fixture.py``.  ``--src`` points
 at the ``src`` directory of another checkout, so one harness times both sides
 of a change.
 Stdlib only; Linux, for ``/proc``.
@@ -47,7 +50,8 @@ import statistics
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(SCRIPTS), "src")
 
 # name -> (what is timed, input setup, timed statement); ``n`` is the order,
 # or for the operator ops the corpus weight bound
@@ -132,6 +136,12 @@ OPS = {
         "verify_factorization(n), l and b built inside",
         "from branchflow import verify_factorization",
         "verify_factorization(n)",
+    ),
+    "kw": (
+        "kw_residual(F, 1), F the free energy through weight n (generate_fk_fixture.py)",
+        f"sys.path.insert(0, {SCRIPTS!r})\nfrom generate_fk_fixture import free_energy_terms\n"
+        "from branchflow import QPoly, kw_residual\nx = QPoly(dict(free_energy_terms(n)))",
+        "kw_residual(x, 1)",
     ),
     "recurrence": (
         "coeffs_b(n) from the empty table: b_1 .. b_n",

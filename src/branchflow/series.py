@@ -24,6 +24,7 @@ terms get *smaller* as ``w`` grows, and the unknown region is always
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from .exact import ONE, ZERO, Rational, Row, check_int, rational, rational_str
 
@@ -272,13 +273,15 @@ class GradedSeries:
         if not (ra._num and rb._num):
             return GradedSeries._cut(self.direction, Row._of({}, 1), wp)
         # numerators by w-offset from the product's lead w0, up to the window
-        # edge; the second row in window order, so each walk stops at the edge
+        # edge; the second row in window order, so each walk stops at the edge.
+        # A span wider than the term pairs is accumulated by terms, not by span.
         sign, w0 = (1 if self.direction == ASCENDING else -1), wla + wlb
         second = sorted((sign * eb - wlb, cb) for eb, cb in rb._num.items())
         size = max(ra._num) - min(ra._num) + max(rb._num) - min(rb._num) + 1
         if wp is not None:
             size = min(size, wp - w0)
-        out = [0] * size
+        sparse = size > len(ra._num) * len(second)
+        out = defaultdict(int) if sparse else [0] * size
         for ea, ca in ra._num.items():
             oa = sign * ea - wla
             edge = size - oa
@@ -286,7 +289,7 @@ class GradedSeries:
                 if ob >= edge:
                     break
                 out[oa + ob] += ca * cb
-        num = {sign * (w0 + i): c for i, c in enumerate(out) if c}
+        num = {sign * (w0 + i): c for i, c in (out.items() if sparse else enumerate(out)) if c}
         return GradedSeries._cut(self.direction, Row._canon(num, ra._den * rb._den), wp)
 
     __rmul__ = __mul__
@@ -370,9 +373,21 @@ class GradedSeries:
         the input's relative depth, ``wprec - wlead`` orders past its lead,
         as repeated products would give.  An exact input to a power ``n > 0``
         gives the exact polynomial, ``n`` times the input's span; a truncated
-        zero gives zero on ``n`` times its window, as ``*`` does.
+        zero gives zero on ``n`` times its window, as ``*`` does.  Where that
+        span is wider than the input's term pairs, the power is taken by
+        repeated squaring, each product accumulated by terms.
         """
         wp = self.wprec
+        num = self._row._num
+        if wp is None and q == 1 and p > 0 and num and max(num) - min(num) > len(num) ** 2:
+            out, base = None, self
+            while True:
+                if p & 1:
+                    out = base if out is None else out * base
+                p >>= 1
+                if not p:
+                    return out
+                base = base * base
         if p < 0:
             if self.is_zero():
                 raise LeadingTermError("reciprocal of a series with no known leading term")

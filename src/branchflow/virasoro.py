@@ -5,18 +5,29 @@ L_m = sum_{k>0, k+m>0} (k+m) q_k d/dq_{k+m}
       + (1/2) sum_{i+j=-m, i,j>0} q_i q_j
 
 A QPoly is a row keyed by monomial in the layout of ``branchflow.exact``, and
-each operation normalises its result once.  An operator is its image of one
-monomial, read off the sums as integer weights over a denominator fixed per
-operator: 2 for L_m, 1 for alpha_n and d_j, and for a sum c_1 op_1 + ... built
-by op_sum the lcm of the c_i op_i denominators.  Weight (the sum of q-indices
-of a monomial) is the grading: L_m lowers it by m, and the exponential of an
-operator that lowers it terminates on every polynomial.
+each operation normalises its result once.  Inside, a monomial is one int key:
+the product of P_i over its indices i, P_i the i-th prime (P_1 = 2), read from
+a table grown on demand.  So q_j moved to q_k is ``key // P_j * P_k``, a product
+term is one multiply, the product of two monomials is the product of their
+keys, and the empty monomial is 1.  Neither the index nor the multiplicity is
+bounded.  The public surface keeps sorted index tuples: the constructor,
+``monomial``, ``coefficient``, ``terms``, ``items`` and the fixture loader.
 
-The image of L_m is built in one pass over the runs of equal indices of the
-sorted monomial.  A moved or added index is put in place with ``bisect``, and
-each output monomial is listed once: pairs a + b = m and i + j = -m are taken
-unordered, with their multiplicities in the weight.  An exponential sums its
-Taylor terms as int numerators and canonicalises once, at the end.
+An operator is its image of one monomial key, read off the sums as integer
+weights over a denominator fixed per operator: 2 for L_m, 1 for alpha_n and
+d_j, and for a sum c_1 op_1 + ... built by op_sum the lcm of the c_i op_i
+denominators.  Weight (the sum of q-indices of a monomial) is the grading: L_m
+lowers it by m, and the exponential of an operator that lowers it terminates
+on every polynomial.
+
+The image of L_m is built in one pass over the runs (index, multiplicity) of
+the key, found by trial division, and each output monomial is listed once:
+pairs a + b = m and i + j = -m are taken unordered, with their multiplicities
+in the weight.  The runs and the weight of a key are memoised only while a
+scan, a factorization check or an exponential runs; the outermost of these
+empties the memo when it returns, so no decoded key outlives it.  An
+exponential sums its Taylor terms as int numerators and canonicalises once,
+at the end.
 
 A checked identity is compiled once per scan into an integer plan: its terms
 (c, operator or None, row name) become (int factor, operator image or None, row
@@ -25,9 +36,9 @@ polynomial p a scan builds its named rows p, L_k p and alpha_j p once and puts
 them over one denominator D_p.  The residual sum lhs - sum rhs, times the scale
 and D_p, is then one int accumulation into a dict, tested for zero; only when
 it is not zero are the lhs terms of the same plan summed again, to read both
-sides at the first differing term.  The only memo of images that outlives one
-polynomial lives in an operator op_sum returns, and dies with it after one
-factorization check.
+sides at the first differing term in canonical (weight, index tuple) order.
+The only memo of images that outlives one polynomial lives in an operator
+op_sum returns, and dies with it after one factorization check.
 
 A commutation scan runs in two processes when it pays and it can: where it asks
 at least ``_SPLIT_PAIRS`` (cell, polynomial) pairs, ``os.fork`` exists and
@@ -49,30 +60,116 @@ import os
 import random
 import re
 import threading
-from bisect import bisect
+from collections.abc import Mapping
 from reprlib import repr as _short
-from functools import cache
+from functools import cache, wraps
 from math import lcm
 from time import perf_counter
 
-from .exact import ONE, Rational, Row, ZERO, check_int, rational
+from .exact import ONE, Rational, Row, ZERO, _Terms, check_int, rational
 from .report import Record, VerificationReport, failed, passed, skipped, start_clock
 
 FIXTURE_RESOURCE = "fk_fixture.json"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # p or p/q, q > 0
 
 
-def _key(indices) -> tuple:
-    return tuple(sorted(indices))
+# --- monomial keys ------------------------------------------------------------
+
+_PRIMES = [1]  # P_i at index i, the 1 a placeholder; grown in place, never rebound
+_DECODED: dict = {}  # key -> (weight, runs), filled only while a scope is open
+_scopes = 0  # scopes open: scans, checks and exponentials, nested
 
 
-def _d(key: tuple, j: int) -> tuple:
-    """d/dq_j of the monomial ``key``: one j removed, times its multiplicity."""
-    mult = key.count(j)
-    if not mult:
+def _grow(n: int) -> None:
+    """Extends the prime table through P_(2n)."""
+    P, top = _PRIMES, 2 * n
+    c = P[-1]
+    while len(P) <= top:
+        c += 1
+        for p in P[1:]:
+            if p * p > c:
+                P.append(c)
+                break
+            if not c % p:
+                break
+        else:
+            P.append(c)
+
+
+def _encode(indices) -> int:
+    """The key of the monomial of the positive int ``indices``: the product of P_i."""
+    top = max(indices, default=0)
+    if 2 * top >= len(_PRIMES):
+        _grow(top)
+    key = 1
+    for i in indices:
+        key *= _PRIMES[i]
+    return key
+
+
+def _runs(key: int) -> tuple:
+    """(weight, runs) of the monomial ``key``: its (index, multiplicity, P_index)
+    runs in ascending index, by trial division.  The table is then long enough
+    for twice the largest index, so an image may read P_(j - m) for any run j of
+    ``key`` and any operator index m whose table is grown (see ``make_L``)."""
+    got = _DECODED.get(key)
+    if got is not None:
+        return got
+    P, runs, weight, i, x = _PRIMES, [], 0, 0, key
+    while x > 1:
+        i += 1
+        if i == len(P):
+            _grow(i)
+        p = P[i]
+        if not x % p:
+            x //= p
+            e = 1
+            while not x % p:
+                x //= p
+                e += 1
+            runs.append((i, e, p))
+            weight += i * e
+    if 2 * i >= len(P):
+        _grow(i)
+    got = weight, tuple(runs)
+    if _scopes:
+        _DECODED[key] = got
+    return got
+
+
+def _decode(key: int) -> tuple:
+    """The sorted index tuple of the monomial ``key``."""
+    return tuple(i for i, e, _ in _runs(key)[1] for _ in range(e))
+
+
+def _scoped(fn):
+    """``fn`` with the decode memo open while it runs; the outermost scope
+    empties the memo when it returns or raises."""
+
+    @wraps(fn)
+    def run(*args, **kwargs):
+        global _scopes
+        _scopes += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _scopes -= 1
+            if not _scopes:
+                _DECODED.clear()
+
+    return run
+
+
+def _d(key: int, p: int) -> tuple:
+    """d/dq_j of the monomial ``key``, p = P_j: one j removed, times its multiplicity."""
+    if key % p:
         return ()
-    i = key.index(j)
-    return ((key[:i] + key[i + 1:], mult),)
+    out = x = key // p
+    mult = 1
+    while not x % p:
+        x //= p
+        mult += 1
+    return ((out, mult),)
 
 
 class QPoly(Row):
@@ -82,31 +179,40 @@ class QPoly(Row):
 
     def __init__(self, terms=None):
         summed: dict = {}  # keys that canonicalise to one monomial are summed
-        for key, coeff in (terms or {}).items():
-            for i in key:
+        for indices, coeff in (terms or {}).items():
+            for i in indices:
                 check_int(i, "a q-index")
-            if coeff != 0 and any(i < 1 for i in key):
-                raise ValueError(f"q-indices must be positive, got {key}")
-            summed[_key(key)] = summed.get(_key(key), 0) + rational(coeff)
+            if coeff != 0 and any(i < 1 for i in indices):
+                raise ValueError(f"q-indices must be positive, got {indices}")
+            value = rational(coeff)
+            if value:
+                key = _encode(indices)
+                summed[key] = summed.get(key, 0) + value
         super().__init__(summed)
 
     @classmethod
     def one(cls) -> "QPoly":
-        return cls._of({(): 1}, 1)
+        return cls._of({1: 1}, 1)
 
     @classmethod
     def monomial(cls, indices, coeff=ONE) -> "QPoly":
-        return cls({_key(indices): coeff})
+        return cls({tuple(indices): coeff})
 
     def is_zero(self) -> bool:
         return not self._num
 
     def coefficient(self, indices):
-        num = self._num.get(_key(indices))
+        valid = all(_is_int(i) and i > 0 for i in indices)
+        num = self._num.get(_encode(indices)) if valid else None
         return ZERO if num is None else Rational(num, self._den)
 
     def max_weight(self) -> int:
-        return max((sum(key) for key in self._num), default=0)
+        return max((_runs(key)[0] for key in self._num), default=0)
+
+    @property
+    def terms(self) -> Mapping:
+        """The read-only ``{sorted index tuple: Rational}`` view."""
+        return _Terms({_decode(key): num for key, num in self._num.items()}, self._den)
 
     def items(self):
         """Terms in canonical (weight, monomial) order."""
@@ -126,10 +232,11 @@ class QPoly(Row):
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         out: dict = {}
+        get = out.get
         for ka, ca in self._num.items():
             for kb, cb in other._num.items():
-                key = _key(ka + kb)
-                out[key] = out.get(key, 0) + ca * cb
+                key = ka * kb
+                out[key] = get(key, 0) + ca * cb
         return QPoly._canon(out, self._den * other._den)
 
     def derivative(self, j: int) -> "QPoly":
@@ -138,7 +245,7 @@ class QPoly(Row):
     def weight_parts(self) -> dict:
         parts: dict = {}
         for key, num in self._num.items():
-            parts.setdefault(sum(key), {})[key] = num
+            parts.setdefault(_runs(key)[0], {})[key] = num
         return {w: QPoly._canon(part, self._den) for w, part in sorted(parts.items())}
 
     def __repr__(self):
@@ -152,8 +259,10 @@ class QPoly(Row):
 
 
 class LinearOp(Record):
-    """Exact linear operator: ``image(key)`` lists the (monomial, integer weight)
-    terms of its image of the monomial ``key``, weights over ``den``."""
+    """Exact linear operator: ``image(key)`` lists the (monomial key, integer
+    weight) terms of its image of the monomial ``key``, weights over ``den``.
+    A key is the int product of P_i over the monomial's indices i, P_i the i-th
+    prime, and 1 is the empty monomial."""
 
     __slots__ = ("name", "image", "den")
 
@@ -224,9 +333,9 @@ def _first_mismatch(plan, groups):
     for rows, den in groups:
         out = _residual(terms, rows)
         if any(out.values()):
-            key = min((k for k, v in out.items() if v), key=lambda k: (sum(k), k))
+            key = min((k for k, v in out.items() if v), key=lambda k: (_runs(k)[0], _decode(k)))
             left, den = _residual(terms[:split], rows).get(key, 0), scale * den
-            return sum(key), str(Rational(left, den)), str(Rational(left - out[key], den))
+            return _runs(key)[0], str(Rational(left, den)), str(Rational(left - out[key], den))
     return None
 
 
@@ -237,38 +346,35 @@ def make_L(m: int) -> LinearOp:
     differ, and the two other sums change the degree."""
     check_int(m, "the index of L")
     if m == 0:  # every q_k d/dq_k returns the monomial: L_0 is its weight
-        return LinearOp("L[0]", lambda key: [(key, 2 * sum(key))] if key else [], 2)
-    # q_i q_j over unordered i + j = -m: 1/2 per ordered pair
-    products = [(i, -m - i, 1 if 2 * i == -m else 2) for i in range(1, -m // 2 + 1)]
+        return LinearOp("L[0]", lambda key: [(key, 2 * _runs(key)[0])] if key != 1 else [], 2)
+    P, memo = _PRIMES, _DECODED.get  # a memo hit needs no call of _runs
+    if m < 0:
+        _grow(-m)  # P_(j - m) for every run j: see _runs
+        # q_i q_j over unordered i + j = -m: 1/2 per ordered pair
+        products = [(P[i] * P[-m - i], 1 if 2 * i == -m else 2) for i in range(1, -m // 2 + 1)]
+
+        def raising(key):  # every run j moves one j to j - m; then the products
+            runs = (memo(key) or _runs(key))[1]
+            out = [(key // p * P[j - m], 2 * j * mult) for j, mult, p in runs]
+            out += [(key * pq, w) for pq, w in products]
+            return out
+
+        return LinearOp(f"L[{m}]", raising, 2)
 
     def image(key):
-        out, starts, s, size = [], {}, 0, len(key)
-        while s < size:
-            j = key[s]
-            e = bisect(key, j, s)
-            mult = e - s
+        out, starts = [], {}
+        for j, mult, p in (memo(key) or _runs(key))[1]:
             if j > m:  # 2 (k + m) q_k d/dq_{k+m} with j = k + m: one of mult j's moves
-                k = j - m
-                if k < j:
-                    at = bisect(key, k, 0, s)
-                    out.append((key[:at] + (k,) + key[at:s] + key[s + 1:], 2 * j * mult))
-                else:
-                    at = bisect(key, k, e)
-                    out.append((key[:s] + key[s + 1:at] + (k,) + key[at:], 2 * j * mult))
+                out.append((key // p * P[j - m], 2 * j * mult))
             elif 2 * j < m:  # a = j of ab d_a d_b: its pair b = m - j comes later
-                starts[j] = s, mult
+                starts[j] = mult, p
             elif 2 * j == m:  # a = b: mult (mult - 1) ordered picks
                 if mult > 1:
-                    out.append((key[:s] + key[s + 2:], j * j * mult * (mult - 1)))
+                    out.append((key // (p * p), j * j * mult * (mult - 1)))
             elif m - j in starts:  # a < b = j: both orders of the pair
                 a = m - j
-                sa, ma = starts[a]
-                out.append((key[:sa] + key[sa + 1:s] + key[s + 1:], 2 * a * j * ma * mult))
-            s = e
-        for i, j, w in products:  # i <= j, inserted where they sort
-            b = bisect(key, j)
-            a = bisect(key, i, 0, b)
-            out.append((key[:a] + (i,) + key[a:b] + (j,) + key[b:], w))
+                ma, pa = starts[a]
+                out.append((key // (pa * p), 2 * a * j * ma * mult))
         return out
 
     return LinearOp(f"L[{m}]", image, 2)
@@ -279,20 +385,27 @@ def make_alpha(n: int) -> LinearOp:
     check_int(n, "the index of alpha")
     if n == 0:
         raise ValueError("alpha_0 is the zero operator; it has no basic form")
+    _grow(abs(n))
+    p = _PRIMES[abs(n)]
     if n < 0:
-        return LinearOp(f"alpha[{n}]", lambda key: ((_key(key + (-n,)), 1),))
-    return LinearOp(f"alpha[{n}]", lambda key: [(k, n * w) for k, w in _d(key, n)])
+        return LinearOp(f"alpha[{n}]", lambda key: ((key * p, 1),))
+    return LinearOp(f"alpha[{n}]", lambda key: [(k, n * w) for k, w in _d(key, p)])
 
 
 def make_d(j: int) -> LinearOp:
     check_int(j, "the index of d")
-    return LinearOp(f"d[{j}]", lambda key: _d(key, j))
+    if j < 1:  # no monomial holds q_j
+        return LinearOp(f"d[{j}]", lambda key: ())
+    _grow(j)
+    p = _PRIMES[j]
+    return LinearOp(f"d[{j}]", lambda key: _d(key, p))
 
 
 def commutator(A: LinearOp, B: LinearOp, p: QPoly) -> QPoly:
     return A(B(p)) - B(A(p))
 
 
+@_scoped
 def _scan(identity, t0, corpus, cells, plans, ops, mirror=lambda cell: None, parts=None) -> list:
     """One report per cell, in the order of ``cells``, from one walk of the corpus,
     which ``_walk_halves`` may share between two processes.
@@ -329,14 +442,15 @@ def _scan(identity, t0, corpus, cells, plans, ops, mirror=lambda cell: None, par
 
 # Cell-polynomial pairs below which one process walks the corpus.  In a fresh
 # interpreter a split costs 3-5 ms of wall time (the fork, copy-on-write faults
-# in both processes, the reaping), and the second CPU takes about a third of the
-# walk off the wall clock, so a split pays from about 12 ms of walking.  A pair
-# costs 5-6 us of CPU in the -5..5 grids, 3.5-4 us in the grading scan, the
-# cheapest, and 7-24 us in a one-cell check.  In paired cold runs below 2000
-# pairs, a split won 5 to 32 of 50-75 runs of the Heisenberg scan, 6 of 50 of
-# grading at 1155 pairs, and about half of the Virasoro scan's; from 2000 to
-# 3300 pairs it won 44 to 64 of 75 in every scan.  So the constant stays.
-_SPLIT_PAIRS = 2000
+# in both processes, the reaping), and a free second CPU takes about a third of
+# the walk off the wall clock, so a split pays from about 12 ms of walking.  A
+# pair costs about 3.5 us of CPU in the -5..5 grids and the grading scan with
+# prime-product keys (5-6 us in the grids with index tuples), so about 3500
+# pairs.  In three rounds of 25 paired cold runs a split won 28-37 of 75 runs at
+# 2700-3000 pairs and 34-46 of 75 at 3800-4200; at 2200 pairs the Virasoro
+# grid's split lost 22 of 25.  In the round where the second CPU was busy it
+# lost nearly every run at every size, the -5..5 grids at --weight 9 included.
+_SPLIT_PAIRS = 3500
 
 
 def _forks(pairs: int) -> bool:
@@ -415,10 +529,9 @@ def _partitions(total: int, cap: int):
 
 
 def corpus_monomials(weight_bound: int) -> list:
-    """1 and every q-monomial of weight up to the bound.  A partition, reversed,
-    is already a sorted key, so each row is built canonical."""
+    """1 and every q-monomial of weight up to the bound, each row built canonical."""
     return [
-        QPoly._of({part[::-1]: 1}, 1)
+        QPoly._of({_encode(part): 1}, 1)
         for w in range(weight_bound + 1)
         for part in _partitions(w, w)
     ]
@@ -503,9 +616,12 @@ def scan_grading(cells, corpus) -> list:
 
     def stray(m):  # L_m, keeping only the image terms off weight w - m
         L = make_L(m)
-        return LinearOp(
-            L.name, lambda key: [t for t in L.image(key) if sum(t[0]) != sum(key) - m], L.den
-        )
+
+        def image(key):
+            w = _runs(key)[0] - m
+            return [t for t in L.image(key) if _runs(t[0])[0] != w]
+
+        return LinearOp(L.name, image, L.den)
 
     strays = {m: stray(m) for m in sorted({cell[0] for cell in cells})}
     plans = {cell: _plan([(1, strays[cell[0]], "p")]) for cell in cells}
@@ -547,6 +663,7 @@ def op_sum(pairs) -> LinearOp:
     return LinearOp("+".join(op.name for _, op in pairs), image, den)
 
 
+@_scoped
 def exp_op_apply(op: LinearOp, p: QPoly) -> QPoly:
     """exp(op) p, summed once: a weight-lowering op leaves nothing after
     ``p.max_weight() + 1`` applications, and anything left then is refused.
@@ -600,6 +717,7 @@ def factorization_sides(weight_bound: int, l_values=None, b_values=None):
     return lhs, rhs
 
 
+@_scoped
 def verify_factorization(
     weight_bound: int = 9, l_values=None, b_values=None
 ) -> VerificationReport:
@@ -668,7 +786,7 @@ def load_fk_fixture(path=None):
             value = rational(coeff)
         except ValueError as exc:  # more digits than int() reads
             raise FixtureError(f"coefficient {_short(coeff)}: {exc}") from None
-        key = _key(mono)
+        key = tuple(sorted(mono))
         if key in terms:
             raise FixtureError(f"fixture lists the monomial {list(key)} twice")
         terms[key] = value

@@ -30,7 +30,7 @@ def test_fit_recovers_a_power_law():
     "op",
     [
         "mul", "reciprocal", "pow", "exp", "log", "coth", "revert", "compose", "flow_solve",
-        "flow_apply", "vir_scan", "vir_grid", "heis_grid", "grad_grid", "factorization",
+        "flow_apply", "vir_scan", "vir_grid", "heis_grid", "grad_grid", "factorization", "kw",
         "recurrence", "stirling", "bernoulli",
     ],
 )

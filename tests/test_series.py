@@ -663,6 +663,38 @@ def test_descending_mul_of_exact_and_truncated_matches_fraction_reference():
                 assert (got.coeffs, got.prec) == fraction_mul(a, b), (a, b)
 
 
+def fraction_power(coeffs, n):
+    """{exponent: Fraction} of an exact row to the power n >= 1, by plain products."""
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        step = {}
+        for ea, ca in out.items():
+            for eb, cb in coeffs.items():
+                step[ea + eb] = step.get(ea + eb, 0) + ca * Fraction(cb)
+        out = {e: c for e, c in step.items() if c}
+    return out
+
+
+@pytest.mark.parametrize("make", [asc, desc], ids=["ascending", "descending"])
+def test_sparse_exact_rows_cost_their_terms_not_their_span(make):
+    # a span of 100,000 between two or three terms: products and positive powers
+    # are accumulated by terms, so neither time nor memory follows the span
+    import tracemalloc
+
+    for coeffs in ({1: 1, 100001: 1}, {-1: 2, 50000: rational(1, 3), 99999: -5}):
+        x = make(coeffs)
+        for n in range(1, 5):
+            tracemalloc.start()
+            try:
+                got = x * x if n == 2 else x ** n
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (coeffs, n, peak)
+            assert got.prec is None and dict(got.coeffs) == fraction_power(coeffs, n)
+        assert (x ** 2).coeffs == (x * x).coeffs == fraction_mul(x, x)[0]
+
+
 # --- integer powers against binary powering ----------------------------------------
 
 

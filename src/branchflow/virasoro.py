@@ -9,9 +9,14 @@ each operation normalises its result once.  Inside, a monomial is one int key:
 the product of P_i over its indices i, P_i the i-th prime (P_1 = 2), read from
 a table grown on demand.  So q_j moved to q_k is ``key // P_j * P_k``, a product
 term is one multiply, the product of two monomials is the product of their
-keys, and the empty monomial is 1.  Neither the index nor the multiplicity is
-bounded.  The public surface keeps sorted index tuples: the constructor,
-``monomial``, ``coefficient``, ``terms``, ``items`` and the fixture loader.
+keys, and the empty monomial is 1.  The multiplicity is not bounded, but an
+index costs table: a key holding q_i needs P_1 .. P_(2i), sieved and kept for
+the life of the process, about 80 bytes per index, and each decode of it is i
+trial divisions.  So the fixture loader refuses an index above
+``_FIXTURE_INDEX_CAP``, and ``coefficient`` reads an index past the table as
+zero without growing it.  The public surface keeps sorted index tuples: the
+constructor, ``monomial``, ``coefficient``, ``terms``, ``items`` and the
+fixture loader.
 
 An operator is its image of one monomial key, read off the sums as integer
 weights over a denominator fixed per operator: 2 for L_m, 1 for alpha_n and
@@ -24,10 +29,10 @@ The image of L_m is built in one pass over the runs (index, multiplicity) of
 the key, found by trial division, and each output monomial is listed once:
 pairs a + b = m and i + j = -m are taken unordered, with their multiplicities
 in the weight.  The runs and the weight of a key are memoised only while a
-scan, a factorization check or an exponential runs; the outermost of these
-empties the memo when it returns, so no decoded key outlives it.  An
-exponential sums its Taylor terms as int numerators and canonicalises once,
-at the end.
+scan, a factorization check or an exponential runs, in any thread; the
+outermost of these empties the memo when it returns, so no decoded key
+outlives it; a scan also empties it after each polynomial.  An exponential sums its Taylor terms as int numerators and
+canonicalises once, at the end.
 
 A checked identity is compiled once per scan into an integer plan: its terms
 (c, operator or None, row name) become (int factor, operator image or None, row
@@ -63,7 +68,8 @@ import threading
 from collections.abc import Mapping
 from reprlib import repr as _short
 from functools import cache, wraps
-from math import lcm
+from itertools import compress
+from math import isqrt, lcm, log
 from time import perf_counter
 
 from .exact import ONE, Rational, Row, ZERO, _Terms, check_int, rational
@@ -77,30 +83,30 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # p or p/q, q > 0
 
 _PRIMES = [1]  # P_i at index i, the 1 a placeholder; grown in place, never rebound
 _DECODED: dict = {}  # key -> (weight, runs), filled only while a scope is open
-_scopes = 0  # scopes open: scans, checks and exponentials, nested
+_scopes = 0  # scopes open: scans, checks and exponentials, nested, in any thread
+_LOCK = threading.Lock()  # held to count scopes and to extend the table
 
 
 def _grow(n: int) -> None:
-    """Extends the prime table through P_(2n)."""
-    P, top = _PRIMES, 2 * n
-    c = P[-1]
-    while len(P) <= top:
-        c += 1
-        for p in P[1:]:
-            if p * p > c:
-                P.append(c)
-                break
-            if not c % p:
-                break
-        else:
-            P.append(c)
+    """Extends the prime table through P_(2n), by a sieve up to a bound on
+    P_(2n): P_k < k (ln k + ln ln k) for k >= 6 (Rosser)."""
+    k = 2 * n
+    if k < len(_PRIMES):
+        return
+    top = 16 if k < 6 else int(k * (log(k) + log(log(k)))) + 2
+    sieve = bytearray([1]) * top
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(top - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top, p)))
+    primes = list(compress(range(top), sieve))
+    with _LOCK:  # another thread may have grown the table meanwhile
+        _PRIMES[len(_PRIMES) :] = primes[len(_PRIMES) - 1 : k]
 
 
 def _encode(indices) -> int:
     """The key of the monomial of the positive int ``indices``: the product of P_i."""
-    top = max(indices, default=0)
-    if 2 * top >= len(_PRIMES):
-        _grow(top)
+    _grow(max(indices, default=0))
     key = 1
     for i in indices:
         key *= _PRIMES[i]
@@ -149,13 +155,15 @@ def _scoped(fn):
     @wraps(fn)
     def run(*args, **kwargs):
         global _scopes
-        _scopes += 1
+        with _LOCK:
+            _scopes += 1
         try:
             return fn(*args, **kwargs)
         finally:
-            _scopes -= 1
-            if not _scopes:
-                _DECODED.clear()
+            with _LOCK:
+                _scopes -= 1
+                if not _scopes:
+                    _DECODED.clear()
 
     return run
 
@@ -202,8 +210,13 @@ class QPoly(Row):
         return not self._num
 
     def coefficient(self, indices):
-        valid = all(_is_int(i) and i > 0 for i in indices)
-        num = self._num.get(_encode(indices)) if valid else None
+        # no stored key holds an index past the table, so that reads zero ungrown
+        P, key = _PRIMES, 1
+        for i in indices:
+            if not (_is_int(i) and 0 < i < len(P)):
+                return ZERO
+            key *= P[i]
+        num = self._num.get(key)
         return ZERO if num is None else Rational(num, self._den)
 
     def max_weight(self) -> int:
@@ -347,14 +360,14 @@ def make_L(m: int) -> LinearOp:
     check_int(m, "the index of L")
     if m == 0:  # every q_k d/dq_k returns the monomial: L_0 is its weight
         return LinearOp("L[0]", lambda key: [(key, 2 * _runs(key)[0])] if key != 1 else [], 2)
-    P, memo = _PRIMES, _DECODED.get  # a memo hit needs no call of _runs
+    P = _PRIMES
     if m < 0:
         _grow(-m)  # P_(j - m) for every run j: see _runs
         # q_i q_j over unordered i + j = -m: 1/2 per ordered pair
         products = [(P[i] * P[-m - i], 1 if 2 * i == -m else 2) for i in range(1, -m // 2 + 1)]
 
         def raising(key):  # every run j moves one j to j - m; then the products
-            runs = (memo(key) or _runs(key))[1]
+            runs = _runs(key)[1]
             out = [(key // p * P[j - m], 2 * j * mult) for j, mult, p in runs]
             out += [(key * pq, w) for pq, w in products]
             return out
@@ -363,7 +376,7 @@ def make_L(m: int) -> LinearOp:
 
     def image(key):
         out, starts = [], {}
-        for j, mult, p in (memo(key) or _runs(key))[1]:
+        for j, mult, p in _runs(key)[1]:
             if j > m:  # 2 (k + m) q_k d/dq_{k+m} with j = k + m: one of mult j's moves
                 out.append((key // p * P[j - m], 2 * j * mult))
             elif 2 * j < m:  # a = j of ab d_a d_b: its pair b = m - j comes later
@@ -431,6 +444,7 @@ def _scan(identity, t0, corpus, cells, plans, ops, mirror=lambda cell: None, par
                         clean.add(cell)
                     else:
                         found[cell] = i, *mismatch, perf_counter()
+            _DECODED.clear()  # few keys recur across polynomials; VmHWM stays flat
         return found
 
     found = _walk_halves(walk, len(corpus), len(asked) * len(corpus))
@@ -442,15 +456,15 @@ def _scan(identity, t0, corpus, cells, plans, ops, mirror=lambda cell: None, par
 
 # Cell-polynomial pairs below which one process walks the corpus.  In a fresh
 # interpreter a split costs 3-5 ms of wall time (the fork, copy-on-write faults
-# in both processes, the reaping), and a free second CPU takes about a third of
-# the walk off the wall clock, so a split pays from about 12 ms of walking.  A
-# pair costs about 3.5 us of CPU in the -5..5 grids and the grading scan with
-# prime-product keys (5-6 us in the grids with index tuples), so about 3500
-# pairs.  In three rounds of 25 paired cold runs a split won 28-37 of 75 runs at
-# 2700-3000 pairs and 34-46 of 75 at 3800-4200; at 2200 pairs the Virasoro
-# grid's split lost 22 of 25.  In the round where the second CPU was busy it
-# lost nearly every run at every size, the -5..5 grids at --weight 9 included.
-_SPLIT_PAIRS = 3500
+# in both processes, the reaping), and the second CPU takes about a third of the
+# walk off the wall clock, so a split pays from about 12 ms of walking.  A pair
+# costs about 3.5 us of CPU in the -5..5 grids and the grading scan with
+# prime-product keys (5-6 us in the grids with index tuples).  Paired cold runs
+# show no crossover near the 3500 pairs that price gives: a split won 28-37 of
+# 75 runs at 2700-3000 pairs and 34-46 of 75 at 3800-4200, about a coin flip,
+# and it lost most runs at every size while the second CPU was busy.  So the
+# constant stays where the index-tuple measurements put it.
+_SPLIT_PAIRS = 2000
 
 
 def _forks(pairs: int) -> bool:
@@ -750,6 +764,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The largest q-index a fixture may name.  A key holding q_i needs the prime
+# table through P_(2i): about 80 bytes of table per index, kept for the life of
+# the process, and each decode of the key is i trial divisions.  At the cap
+# that is 0.8 MB, sieved in about 10 ms, and about 3 ms per decode; the
+# constraint check reaches no residual weight near it.
+_FIXTURE_INDEX_CAP = 10_000
+
+
 def load_fk_fixture(path=None):
     """Returns (F, weight_bound) from the shipped or an explicit fixture file.
 
@@ -780,6 +802,10 @@ def load_fk_fixture(path=None):
         mono, coeff = rec.get("monomial"), rec.get("coefficient")
         if not isinstance(mono, list) or not all(_is_int(i) and i >= 1 for i in mono):
             raise FixtureError(f"a monomial must list positive integers, got {_short(mono)}")
+        if max(mono, default=0) > _FIXTURE_INDEX_CAP:
+            raise FixtureError(
+                f"a q-index above {_FIXTURE_INDEX_CAP} is refused, got {max(mono)}"
+            )
         if not (_is_int(coeff) or isinstance(coeff, str) and _RATIONAL.fullmatch(coeff)):
             raise FixtureError(f"a coefficient must be an int or 'p/q', got {_short(coeff)}")
         try:

@@ -472,8 +472,12 @@ def _one_term(**term):
         _one_term(coefficient="1/0"),
         _one_term(monomial=[1.5]),  # loaded as a q-index until refused
         _one_term(coefficient=0.1),  # read as 3602879701896397/36028797018963968
+        _one_term(monomial=[3, 10**9]),  # would grow the prime table through P_(2 10^9)
     ],
-    ids=["list", "terms-int", "monomial-str", "zero-denominator", "float-index", "float-coeff"],
+    ids=[
+        "list", "terms-int", "monomial-str", "zero-denominator", "float-index", "float-coeff",
+        "index-past-cap",
+    ],
 )
 def test_fixture_holes_are_usage_errors(tmp_path, capsys, doc):
     path = tmp_path / "fixture.json"

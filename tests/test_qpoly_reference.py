@@ -8,6 +8,7 @@ from an empty prime table, so the table grows while the example runs."""
 
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
@@ -217,6 +218,67 @@ def test_scans_decode_through_a_memo_that_dies_with_them(monkeypatch):
     assert all(r.status == "PASS" for r in scan_grading([(m,) for m in range(-4, 5)], corpus))
     assert virasoro._DECODED == {}
     assert verify_factorization(8).status == "PASS"
+
+
+def ref_primes(count):
+    """[1] and the first ``count`` primes, by trial division."""
+    out, c = [1], 1
+    while len(out) <= count:
+        c += 1
+        if all(c % p for p in out[1:] if p * p <= c):
+            out.append(c)
+    return out
+
+
+@given(st.lists(st.integers(0, 600), max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_the_table_grows_to_the_primes_in_any_order(steps):
+    expected = ref_primes(1200)
+    for first in range(60):  # each small sieve bound once, from an empty table
+        with fresh_table():
+            virasoro._grow(first)
+            assert virasoro._PRIMES == expected[: 2 * first + 1]
+    with fresh_table():
+        for n in steps:
+            virasoro._grow(n)
+            table = virasoro._PRIMES
+            assert len(table) > 2 * n and table == expected[: len(table)]
+
+
+def test_far_indices_read_zero_without_growing_the_table():
+    with fresh_table():
+        p = QPoly({(3,): 1, (1, 61): 2})
+        size = len(virasoro._PRIMES)
+        for far in [(10**9,), (3, 10**9), (size,), (True,), (0,), (-1,)]:
+            assert p.coefficient(far) == 0
+        assert len(virasoro._PRIMES) == size
+        assert p.coefficient((61, 1)) == 2
+
+
+def test_a_far_index_grows_the_table_through_twice_its_index():
+    # P_10000 is the 10,000th prime; the table reaches P_20000 for the moves of L_m
+    with fresh_table():
+        p = QPoly.monomial([10_000, 1])
+        assert virasoro._PRIMES[10_000] == 104_729 and len(virasoro._PRIMES) == 20_001
+        assert dict(make_d(10_000)(p).terms) == {(1,): 1}
+
+
+def test_scans_in_two_threads_leave_no_memo(monkeypatch):
+    monkeypatch.setattr(virasoro, "_forks", lambda pairs: False)
+    corpus = [QPoly({(1,) * 12: 2, (61,): Fraction(1, 3)}), QPoly({(2, 3, 67): 5})]
+    verdicts = []
+
+    def scans():
+        for m in range(-4, 5):
+            verdicts.append(check_virasoro_commutator(m, 2, corpus).status)
+
+    threads = [threading.Thread(target=scans) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert verdicts == ["PASS"] * 18
+    assert virasoro._scopes == 0 and virasoro._DECODED == {}
 
 
 def test_no_prime_is_computed_at_import():

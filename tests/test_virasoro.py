@@ -1292,6 +1292,22 @@ def test_fixture_refuses_a_monomial_listed_twice(tmp_path, repeat):
         load_fk_fixture(path)
 
 
+def test_fixture_refuses_a_q_index_past_the_cap(tmp_path):
+    # each index costs prime table for the life of the process, so a far one is
+    # refused before any key is built; the cap itself loads
+    cap = virasoro._FIXTURE_INDEX_CAP
+    for index, refused in ((cap + 1, True), (10**9, True), (cap, False)):
+        doc = {"weight_bound": 18, "terms": [{"monomial": [3, index], "coefficient": 1}]}
+        path = tmp_path / f"far{index}.json"
+        path.write_text(json.dumps(doc))
+        if refused:
+            with pytest.raises(ValueError, match=f"q-index above {cap} is refused, got {index}"):
+                load_fk_fixture(path)
+        else:
+            F, _ = load_fk_fixture(path)
+            assert F.coefficient((index, 3)) == 1
+
+
 # --- the string-type constraints -----------------------------------------------
 
 

@@ -7,12 +7,14 @@ by monomial -- is a :class:`Row`: Python-int numerators over one positive
 denominator (FLINT's ``fmpq_poly`` layout), canonical: no zero numerator and
 ``gcd(den, *nums) = 1``.  So equal values have equal rows, the denominator is
 the lcm of the reduced ones, sums of products run in ints, and a Rational is
-built only where a row is read.
+built only where a row is read.  Every truncated product of rows keyed by int
+exponents -- series, flow terms, reversion's powers -- is one :meth:`Row._mul`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -79,6 +81,41 @@ class Row:
             for key, num in r._num.items():
                 out[key] = get(key, 0) + f * num
         return cls._canon(out, den)
+
+    def _mul(self, sign, edge):
+        """The cut product by this row, keyed by int exponents: the function
+        ``row ->`` the canonical row of ``row * self``, for any ``row``, without
+        its terms at ``w = sign * key >= edge`` (an ``edge`` of None keeps all).
+        This row is sorted into ``w`` order once, so repeated products by it sort
+        nothing, and each term of ``row`` walks it only up to the edge.  The
+        numerators accumulate in a list by ``w`` offset from the product's lead,
+        or in a dict when that span, cut at the edge, is wider than the pairs."""
+        num, den = self._num, self._den
+        second = sorted(zip(map(sign.__mul__, num), num.values()))  # (w, numerator)
+
+        def mul(row):
+            a = row._num
+            if not (a and second):
+                return row._of({}, 1)
+            lo, hi = (min(a), max(a)) if sign > 0 else (-max(a), -min(a))
+            lo, hi = lo + second[0][0], hi + second[-1][0] + 1  # the product's w: [lo, hi)
+            hi = hi if edge is None else min(hi, edge)
+            sparse = hi - lo > len(a) * len(second)
+            out = defaultdict(int) if sparse else [0] * max(hi - lo, 0)
+            for ea, ca in a.items():
+                wa = sign * ea
+                stop, shift = hi - wa, wa - lo
+                for wb, cb in second:
+                    if wb >= stop:
+                        break
+                    out[wb + shift] += ca * cb
+            if sparse:
+                out = {sign * (lo + i): c for i, c in out.items()}
+            else:
+                out = dict(zip(range(sign * lo, sign * hi, sign), out))
+            return row._canon(out, row._den * den)
+
+        return mul
 
     def _put(self, key, num: int, den: int) -> None:
         """Sets ``key`` to ``num / den`` for ints with ``den != 0``, reduced by one

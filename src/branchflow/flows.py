@@ -4,8 +4,8 @@ A coefficient list with a named exponent law, ``LAW_STANDARD`` (step s = 1)
 or ``LAW_EVEN`` (s = 2), defines a derivation D whose exponential acts on
 descending Laurent series.  Each application of D strictly lowers the
 leading exponent, so the flow sum_j D^j target / j! stops at any depth.
-:func:`flow_apply` forms each term T_j = G T_{j-1}' / j as one product of
-whole rows cut at the window edge.  :func:`flow_solve` solves each generator
+:func:`flow_apply` forms each term T_j = G T_{j-1}' / j as one cut product,
+``Row._mul``, at the window edge.  :func:`flow_solve` solves each generator
 coefficient from a target z + lower order while the terms of the flow of z
 fill depth by depth.
 """
@@ -118,7 +118,7 @@ def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:
     window rules: every later term leads deeper than G target'.  A target with
     no known term, or an exact constant, is its own image.
 
-    Each term T_j = G T_{j-1}' / j is one int convolution of whole rows, cut at
+    Each term T_j = G T_{j-1}' / j is one cut product by G, ``Row._mul``, at
     that window's edge, and the terms are summed once."""
     if target.direction != DESCENDING:
         raise SeriesError("flows act on descending series")
@@ -130,22 +130,10 @@ def flow_apply(coeffs: FlowCoeffs, target: GradedSeries) -> GradedSeries:
     top = gen.wprec + (d.wprec if d.is_zero() else d.wlead)
     if target.prec is not None:
         top = min(top, target.wprec)
-    # G in window order, so each walk stops at the edge z^(-top)
-    g, gden = sorted(gen._row._num.items(), reverse=True), gen._row._den
+    times_g = gen._row._mul(-1, top)
     term, terms, j = target._row, [(ONE, target._row)], 1
     while True:
-        out = {}
-        get = out.get
-        for eb, nb in term._num.items():
-            if eb:  # T' = sum e n z^(e-1)
-                nb *= eb
-                eb -= 1
-                edge = -top - eb
-                for ea, ga in g:
-                    if ea <= edge:
-                        break
-                    out[ea + eb] = get(ea + eb, 0) + ga * nb
-        term = Row._canon(out, gden * term._den * j)
+        term = times_g(Row._of({e - 1: e * n for e, n in term._num.items() if e}, term._den * j))
         if not term._num:
             break
         terms.append((ONE, term))

@@ -24,7 +24,6 @@ terms get *smaller* as ``w`` grows, and the unknown region is always
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 from .exact import ONE, ZERO, Rational, Row, check_int, rational, rational_str
 
@@ -270,27 +269,8 @@ class GradedSeries:
         wla = self.wlead if ra._num else wpa
         wlb = other.wlead if rb._num else wpb
         wp = min((e + lead for e, lead in ((wpa, wlb), (wpb, wla)) if e is not None), default=None)
-        if not (ra._num and rb._num):
-            return GradedSeries._cut(self.direction, Row._of({}, 1), wp)
-        # numerators by w-offset from the product's lead w0, up to the window
-        # edge; the second row in window order, so each walk stops at the edge.
-        # A span wider than the term pairs is accumulated by terms, not by span.
-        sign, w0 = (1 if self.direction == ASCENDING else -1), wla + wlb
-        second = sorted((sign * eb - wlb, cb) for eb, cb in rb._num.items())
-        size = max(ra._num) - min(ra._num) + max(rb._num) - min(rb._num) + 1
-        if wp is not None:
-            size = min(size, wp - w0)
-        sparse = size > len(ra._num) * len(second)
-        out = defaultdict(int) if sparse else [0] * size
-        for ea, ca in ra._num.items():
-            oa = sign * ea - wla
-            edge = size - oa
-            for ob, cb in second:
-                if ob >= edge:
-                    break
-                out[oa + ob] += ca * cb
-        num = {sign * (w0 + i): c for i, c in (out.items() if sparse else enumerate(out)) if c}
-        return GradedSeries._cut(self.direction, Row._canon(num, ra._den * rb._den), wp)
+        sign = 1 if self.direction == ASCENDING else -1
+        return GradedSeries._cut(self.direction, rb._mul(sign, wp)(ra), wp)
 
     __rmul__ = __mul__
 
@@ -518,13 +498,12 @@ class GradedSeries:
         descending input must look like ``z + c0 + c1/z + ...``.  Ascending
         ``g`` is ``c1 w (1 + t)``, and ``[z^k] g^-1 = (1/k) [w^(k-1)] (w/g(w))^k
         = c1^-k / k * sum_i C(-k, i) [w^(k-1)] t^i``.  The powers ``t^i``, for
-        ``i`` up to ``wprec - 2``, are one table built a row at a time, each
-        row ``t^(i-1) t`` in ints cut at ``w^(wprec-2)`` and reduced once;
-        each row is summed into int accumulators over the running lcm of the
-        row denominators and dropped, and one Rational is built per result
-        coefficient.  Descending ``g`` is conjugated to the ascending
-        ``G(t) = 1/g(1/t)``, whose inverse conjugates back the same way.  The
-        result window matches the input's.
+        ``i`` up to ``wprec - 2``, are one table: each row ``t^(i-1) t`` is one
+        cut product by ``t``, ``Row._mul``, at ``w^(wprec-2)``, is summed into
+        int accumulators over the running lcm of the row denominators and is
+        dropped; one Rational is built per result coefficient.  Descending
+        ``g`` is conjugated to the ascending ``G(t) = 1/g(1/t)``, whose inverse
+        conjugates back the same way.  The result window matches the input's.
         """
         g = self
         wp = g.wprec
@@ -541,17 +520,10 @@ class GradedSeries:
         # is sum_i C(-k, i) [w^(k-1)] t^i, C(-k, i) = (-1)^i C(k+i-1, i)
         n1, top = g._row._num[1], wp - 2
         t = Row._canon(g._rest(), n1)
-        step = list(t._num.items())
         acc, den = [0, 1, *[0] * top], 1
-        power = Row._of({0: 1}, 1)
+        power, times_t = Row._of({0: 1}, 1), t._mul(1, top + 1)
         for i in range(1, top + 1):
-            out = [0] * (top + 1)
-            for a, x in power._num.items():
-                for j, y in step:
-                    if a + j > top:
-                        break
-                    out[a + j] += x * y
-            power = Row._canon(dict(enumerate(out)), power._den * t._den)
+            power = times_t(power)
             if not power._num:
                 break
             if den % power._den:

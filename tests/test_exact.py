@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchflow import exact
@@ -102,6 +102,46 @@ def test_row_kernel_returns_canonical_rows():
     assert Row._combine(((Rational(3, 2), a),)).terms == {0: Rational(1, 4), 1: Rational(3, 8)}
     with pytest.raises(TypeError):
         a.terms[0] = ONE
+
+
+def schoolbook(a, b, sign, edge, div):
+    """``a * b / div`` over plain Fraction dicts, without the terms at ``sign * key >= edge``."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if edge is None or sign * (ea + eb) < edge:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb / div
+    return {e: c for e, c in out.items() if c}
+
+
+# signed entries with zeros, small or huge
+entries = st.fractions(min_value=-50, max_value=50, max_denominator=12) | st.builds(
+    Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**40)
+)
+# dense rows (single entries and empty rows included), and sparse rows whose
+# span far exceeds their term pairs, so both accumulators run
+cut_rows = st.dictionaries(st.integers(-8, 8), entries, max_size=12) | st.dictionaries(
+    st.integers(-90, 90), entries, min_size=1, max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example({0: Fraction(1), 1: Fraction(-2, 3)}, {0: Fraction(5), 2: Fraction(1, 7)}, 1, 2, 3)
+@example(
+    {-90: Fraction(10**50, 3), 90: Fraction(-1)}, {0: Fraction(2), 70: Fraction(1, 9)}, -1, 5, 2
+)
+@given(cut_rows, cut_rows, st.sampled_from([1, -1]), st.integers(1, 6), st.integers(1, 4))
+def test_row_mul_is_the_schoolbook_product_cut_at_every_edge(a, b, sign, div, scale):
+    # the first factor unreduced by a common factor and divided by div through
+    # its denominator, as flow_apply's derivative rows come
+    first = Row(a)
+    first = Row._of({k: n * scale for k, n in first._num.items()}, first._den * scale * div)
+    ws = [sign * (ea + eb) for ea in a for eb in b] or [0]
+    for edge in [None, *range(min(ws) - 2, max(ws) + 3)]:
+        got = Row(b)._mul(sign, edge)(first)
+        assert dict(got.terms) == schoolbook(a, b, sign, edge, div), edge
+        assert got._den > 0 and all(got._num.values())
+        assert math.gcd(got._den, *got._num.values()) == 1
 
 
 def test_factorials():

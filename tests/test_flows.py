@@ -574,14 +574,19 @@ def test_flow_apply_matches_fraction_oracle(problem):
 
 
 def test_flow_apply_matches_fraction_oracle_on_named_flows():
-    # deep, dense generators with large denominators, both laws and signs
+    # deep, dense generators with large denominators, both laws and signs; an
+    # exact sparse target, whose products by a sparse generator span far more
+    # exponents than term pairs
     f, theta = series_f(16), series_theta(16)
     z = GradedSeries.identity(DESCENDING)
+    sparse = GradedSeries(DESCENDING, {1: ONE, -40: rational(-3, 7)})
     for coeffs, target in (
         (flow_solve(f), z),
         (flow_solve(f, sign=-1), f),
         (flow_solve(theta, law=LAW_EVEN, sign=-1), z),
         (flow_solve(theta, law=LAW_EVEN), theta),
+        (flow_solve(f), sparse),
+        (FlowCoeffs((rational(1, 2),) + (0,) * 40 + (5,), sign=-1), sparse),
     ):
         got = flow_apply(coeffs, target)
         assert (dict(got.coeffs), got.prec) == _flow_by_fractions(coeffs, target)
